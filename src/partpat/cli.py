@@ -34,12 +34,13 @@ from .core import (
 )
 from .dacp import DacpError, dacp_from_obj, dacp_to_obj, from_dacp, to_dacp
 from .enumeration import (
+    DEFAULT_ORACLE_CEILING,
     CeilingError,
     CountCache,
     CountRecord,
     all_partitions,
-    count_avoiders,
     count_avoiders_oracle,
+    count_sequence,
     f_ratio,
     uniform_count,
     uniform_partitions,
@@ -55,7 +56,6 @@ EXIT_CEILING = 3
 
 CACHE_ENV_VAR = "PARTPAT_CACHE"
 DEFAULT_ENUM_CEILING = 13
-DEFAULT_ORACLE_CEILING = 10
 DEFAULT_K_CEILING = 5
 
 SCAN_COLUMNS = ("tau", "n", "count", "f_ratio", "pm", "pm_target", "gap", "gap_times_log_n")
@@ -100,7 +100,7 @@ class ScanConfig:
 
     def check_ceiling(self) -> None:
         # one-block patterns are served by the closed recursion, which has no
-        # practical depth limit; everything else walks the RGS tree
+        # practical depth limit; everything else goes to count_sequence
         needs_enumeration = any(len(p.blocks) > 1 for p in self.patterns)
         if self.use_oracle:
             if self.n_to > self.oracle_ceiling:
@@ -153,9 +153,12 @@ def _counter(config: ScanConfig):
 
     One-block patterns route through the block recursion, which matches the
     enumerator exactly and stays fast far beyond the enumeration ceiling.
+    Other patterns are counted once per scan: the first miss asks
+    ``count_sequence`` for every n up to n_to.
     """
     cache = CountCache(config.cache_path) if config.cache_path else None
     recursion: dict[int, list[int]] = {}
+    sequences: dict[str, list[int]] = {}
 
     def count(tau: SetPartition, n: int) -> CountRecord:
         text = format_partition(tau)
@@ -174,7 +177,11 @@ def _counter(config: ScanConfig):
                 recursion[tau.n] = table
             record = CountRecord(text, n, table[n])
         else:
-            record = count_avoiders(tau, n, workers=config.workers)
+            seq = sequences.get(text)
+            if seq is None or len(seq) <= n:
+                seq = count_sequence(tau, max(n, config.n_to), workers=config.workers)
+                sequences[text] = seq
+            record = CountRecord(text, n, seq[n])
         if cache is not None:
             cache.add(record)
         return record

@@ -1,12 +1,28 @@
 """Exact enumeration of pattern-avoiding set partitions.
 
-The counter walks the restricted-growth-string tree: element i either
-joins an existing block or opens a new one, so every partition of [n] is
-generated exactly once and the prefix of depth m is the restriction to
-[m]. A prefix whose restriction already contains the pattern is pruned.
-Because an occurrence created by appending element m must use m as its
-largest image, each node runs one anchored matcher call instead of a full
-containment search.
+``count_sequence(tau, n_max)`` returns the whole sequence A_0..A_n_max of
+avoider counts, and ``count_avoiders(tau, n)`` is its entry n. Two exact
+methods serve it, chosen layer by layer from what the count itself shows:
+
+- A forward transfer DP. Every partition of [m] is an extension of one
+  of [m - 1] by element m, and the avoiders of [n] extending an avoiding
+  prefix depend only on the set of partial occurrences of tau it holds,
+  each reduced to a signature: how much of tau is matched and which host
+  blocks the pattern blocks met so far occupy. The DP carries one count
+  per distinct set of signatures (merged and relabelled so that prefixes
+  with the same future share a state) from layer to layer.
+- A pruned walk of the restricted-growth-string tree: element i either
+  joins an existing block or opens a new one, so every partition of [n]
+  is generated exactly once and the prefix of depth m is the restriction
+  to [m]. A prefix whose restriction already contains the pattern is
+  pruned. Because an occurrence created by appending element m must use m
+  as its largest image, each node runs one anchored matcher call instead
+  of a full containment search. The walk tallies the avoiders at every
+  depth.
+
+The DP runs first; when a layer shows that the pattern's states do not
+compress (see ``count_sequence``), the walk counts the whole sequence
+instead. ``workers`` parallelizes the walk only.
 
 Counts are exact Python integers throughout; no tally ever rounds.
 """
@@ -15,8 +31,9 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from bisect import bisect_left
-from concurrent.futures import ProcessPoolExecutor
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import permutations, product
 from pathlib import Path
@@ -34,6 +51,7 @@ __all__ = [
     "all_partitions",
     "count_avoiders",
     "count_avoiders_oracle",
+    "count_sequence",
     "enumerate_avoiders",
     "f_ratio",
     "growth_report",
@@ -47,6 +65,15 @@ DEFAULT_ORACLE_CEILING = 10
 # Workers own disjoint RGS prefixes of this depth; aggregation is addition,
 # so the parallel count is order-independent.
 _SPLIT_DEPTH = 6
+
+# count_sequence leaves the transfer DP for the walk after a layer m >=
+# _DP_MIN_LAYER (short of n_max) where states * _DP_STATE_RATIO exceeds the
+# avoiders. A state costs tens of walk nodes, so a DP holding about one
+# state per avoider loses. Every pattern measured (all of [4], [5] and [6]
+# at n = 10, samples of [7] and [8] at n = 11, the slowest at n = 12) ran
+# faster on the DP, with at least 1.5 avoiders per state at such a layer.
+_DP_MIN_LAYER = 7
+_DP_STATE_RATIO = 1.25
 
 
 class CeilingError(RuntimeError):
@@ -139,26 +166,250 @@ def _anchored_checker(pattern: SetPartition) -> Callable[[list[list[int]], int],
     return check
 
 
-def _count_pruned(
+def _walk(
     check: Callable[[list[list[int]], int], bool],
     n: int,
     blocks: list[list[int]],
     start: int,
-) -> int:
-    """Completions of the current avoiding prefix into avoiders of [n]."""
-    if start > n:
-        return 1
-    total = 0
+    tally: list[int],
+) -> None:
+    """Add to tally[m], for start <= m <= n, the avoiders of [m] that extend
+    the avoiding prefix partition of [start - 1] held in ``blocks``."""
+    children = 0
     for bi in range(len(blocks)):
         blocks[bi].append(start)
         if not check(blocks, bi):
-            total += _count_pruned(check, n, blocks, start + 1)
+            children += 1
+            if start < n:
+                _walk(check, n, blocks, start + 1, tally)
         blocks[bi].pop()
     blocks.append([start])
     if not check(blocks, len(blocks) - 1):
-        total += _count_pruned(check, n, blocks, start + 1)
+        children += 1
+        if start < n:
+            _walk(check, n, blocks, start + 1, tally)
     blocks.pop()
-    return total
+    tally[start] += children
+
+
+def _walk_sequence(tau: SetPartition, n_max: int, workers: int = 1) -> list[int]:
+    """A_0..A_n_max from one pruned walk of the RGS tree, tallied by depth.
+
+    With ``workers > 1`` the avoiding prefixes of depth 6 are walked on by a
+    process pool and the per-worker tallies are summed depth by depth.
+    """
+    check = _anchored_checker(tau)
+    tally = [1] + [0] * n_max
+    if workers == 1 or n_max <= _SPLIT_DEPTH:
+        if n_max:
+            _walk(check, n_max, [], 1, tally)
+        return tally
+    from concurrent.futures import ProcessPoolExecutor
+
+    _walk(check, _SPLIT_DEPTH, [], 1, tally)
+    tau_text = format_partition(tau)
+    tasks = [(tau_text, n_max, p.blocks) for p in enumerate_avoiders(tau, _SPLIT_DEPTH)]
+    chunk = max(1, len(tasks) // (4 * workers))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for part in pool.map(_walk_task, tasks, chunksize=chunk):
+            for m in range(_SPLIT_DEPTH + 1, n_max + 1):
+                tally[m] += part[m]
+    return tally
+
+
+def _walk_task(args: tuple[str, int, tuple[tuple[int, ...], ...]]) -> list[int]:
+    tau_text, n_max, prefix = args
+    tally = [0] * (n_max + 1)
+    _walk(_anchored_checker(parse(tau_text)), n_max, [list(b) for b in prefix], _SPLIT_DEPTH + 1, tally)
+    return tally
+
+
+# A signature records one partial occurrence of the pattern in an avoiding
+# prefix: (j, hosts, excluded). tau[1..j] is matched; ``hosts`` names the
+# host block of each pattern block met so far that recurs after j (in
+# pattern-block order), and ``excluded`` the host blocks of the met blocks
+# that do not recur. A pattern block still unmet must land in a host block
+# outside both. The avoiders of [n] extending a prefix depend only on its
+# signature set and on how many blocks it has that no signature names.
+_NONE: frozenset[int] = frozenset()
+_ROOT = (0, (), _NONE)
+
+
+def _transfer_tables(tau: SetPartition):
+    """Per-j step rules of the signature automaton for ``tau``.
+
+    steps[j] = (opens_new, pos, recurs, free_after) describes matching
+    pattern element j + 1: whether its block is unmet so far, its position
+    among the recurring hosts (after the match when it opens), whether it
+    recurs later, and how many pattern blocks are still unmet after it.
+    free[j] counts the unmet pattern blocks after j elements. covers[j]
+    lists (j2, proj) for the j2 > j reached without meeting a new block;
+    proj picks the hosts at j that recur after j2.
+    """
+    k = tau.n
+    pat = [tau.block_of[e] for e in range(1, k + 1)]
+    met = [set(pat[:j]) for j in range(k + 1)]
+    free = [len(tau.blocks) - len(m) for m in met]
+    recurring = [sorted(b for b in met[j] if b in pat[j:]) for j in range(k + 1)]
+    steps = []
+    for j, b in enumerate(pat):
+        opens_new = b not in met[j]
+        recurs = b in pat[j + 1:]
+        pos = recurring[j + 1 if opens_new else j].index(b) if recurs or not opens_new else 0
+        steps.append((opens_new, pos, recurs, free[j + 1]))
+    covers = [
+        [
+            (j2, tuple(recurring[j].index(b) for b in recurring[j2]))
+            for j2 in range(j + 1, k)
+            if free[j2] == free[j]
+        ]
+        for j in range(k)
+    ]
+    return steps, free, covers
+
+
+def _has_disjoint(sets: list[frozenset[int]], need: int, taken: frozenset[int] = _NONE, start: int = 0) -> bool:
+    """Do ``need`` pairwise disjoint members of sets[start:] avoid ``taken``?"""
+    if need == 0:
+        return True
+    return any(
+        not (s & taken) and _has_disjoint(sets, need - 1, taken | s, i + 1)
+        for i, s in enumerate(sets[start:], start)
+    )
+
+
+def _merge_exclusions(excls: list[frozenset[int]], free: int) -> list[frozenset[int]]:
+    """Exclusion sets of signatures sharing (j, hosts), reduced to a set with
+    the same completions: only the inclusion-minimal ones; their
+    intersection when one unmet pattern block remains (it needs a host
+    outside at least one of them); none when more than ``free`` of them are
+    pairwise disjoint, since ``free`` new hosts can meet at most ``free``."""
+    excls.sort(key=len)
+    if not excls[0]:
+        return [_NONE]
+    minimal: list[frozenset[int]] = []
+    for e in excls:
+        if not any(m <= e for m in minimal):
+            minimal.append(e)
+    if free == 1:
+        return [frozenset.intersection(*minimal)]
+    if len(minimal) > free and _has_disjoint(minimal, free + 1):
+        return [_NONE]
+    return minimal
+
+
+def _dp_layers(tau: SetPartition, n_max: int) -> Iterator[tuple[int, int]]:
+    """Forward transfer DP over signature-set states: yields (A_m, number of
+    states) for m = 1..n_max.
+
+    A state is (unnamed live blocks, named blocks, signature set), with the
+    named blocks relabelled 0..r-1 by their roles. Besides merging
+    exclusion sets, a state drops the signatures another one covers, those
+    needing more elements than the n_max - m still to come, and dead
+    blocks: a block that would complete an occurrence takes no further
+    element, so it and the signatures waiting on it are forgotten. When
+    the last pattern element opens a block, a signature at j = k - 1
+    confines every later element to its excluded blocks and the rest die.
+    """
+    steps, free, covers = _transfer_tables(tau)
+    k = tau.n
+    last_opens, last_pos = steps[k - 1][0], steps[k - 1][1]
+
+    def advance(sigs: frozenset, b: int) -> set | None:
+        """Signatures after the next element joins block b; None when that
+        completes an occurrence."""
+        out = set(sigs)
+        for j, hosts, excl in (_ROOT, *sigs):
+            opens_new, pos, recurs, free_after = steps[j]
+            if opens_new:
+                if b in hosts or b in excl:
+                    continue
+                if recurs:
+                    hosts = hosts[:pos] + (b,) + hosts[pos:]
+                else:
+                    excl = excl | {b}
+            elif hosts[pos] != b:
+                continue
+            elif not recurs:
+                hosts = hosts[:pos] + hosts[pos + 1 :]
+                excl = excl | {b}
+            if j + 1 == k:
+                return None
+            out.add((j + 1, hosts, excl if free_after else _NONE))
+        return out
+
+    def reduce(sigs) -> list:
+        groups: dict[tuple, list[frozenset[int]]] = {}
+        for j, hosts, excl in sigs:
+            groups.setdefault((j, hosts), []).append(excl)
+        for key, excls in groups.items():
+            if len(excls) > 1:
+                groups[key] = _merge_exclusions(excls, free[key[0]])
+        out = []
+        for (j, hosts), excls in groups.items():
+            for excl in excls:
+                # a signature further along with the same recurring hosts and
+                # no new exclusions has every completion this one has
+                seen = excl.union(hosts)
+                if not any(
+                    e <= seen
+                    for j2, proj in covers[j]
+                    for e in groups.get((j2, tuple(hosts[i] for i in proj)), ())
+                ):
+                    out.append((j, hosts, excl))
+        return out
+
+    def settle(raw: set, horizon: int) -> tuple[int, int, bool, frozenset]:
+        """(named blocks, named blocks that died, confined, canonical sigs)."""
+        sigs = reduce(s for s in raw if s[0] + horizon >= k)
+        named = {h for _, hosts, excl in sigs for h in (*hosts, *excl)}
+        last = [s for s in sigs if s[0] == k - 1]
+        confined = bool(last) and last_opens
+        if confined:
+            dead = named - last[0][2]
+        else:
+            dead = {hosts[last_pos] for _, hosts, _ in last}
+        if dead:
+            sigs = reduce(
+                (j, hosts, excl - dead) for j, hosts, excl in sigs if dead.isdisjoint(hosts)
+            )
+        roles: dict[int, list[tuple[int, int]]] = {}
+        for j, hosts, excl in sigs:
+            for i, h in enumerate(hosts):
+                roles.setdefault(h, []).append((j, i))
+            for h in excl:
+                roles.setdefault(h, []).append((j, -1))
+        order = sorted(roles, key=lambda h: (sorted(roles[h]), h))
+        label = {h: i for i, h in enumerate(order)}
+        canon = frozenset(
+            (j, tuple(label[h] for h in hosts), frozenset(label[h] for h in excl))
+            for j, hosts, excl in sigs
+        )
+        return len(order), len(dead), confined, canon
+
+    layer: dict[tuple[int, int, frozenset], int] = {(0, 0, _NONE): 1}
+    for m in range(1, n_max + 1):
+        horizon = n_max - m
+        nxt: dict[tuple[int, int, frozenset], int] = defaultdict(int)
+        for (unnamed, named, sigs), mult in layer.items():
+            live = unnamed + named
+            for b in range(named):
+                raw = advance(sigs, b)
+                if raw is not None:
+                    r, dead, confined, canon = settle(raw, horizon)
+                    nxt[0 if confined else live - dead - r, r, canon] += mult
+            # an unnamed existing block and a new block give the same signatures
+            raw = advance(sigs, named)
+            if raw is not None:
+                r, dead, confined, canon = settle(raw, horizon)
+                if confined:
+                    nxt[0, r, canon] += mult * (unnamed + 1)
+                else:
+                    if unnamed:
+                        nxt[live - dead - r, r, canon] += mult * unnamed
+                    nxt[live + 1 - dead - r, r, canon] += mult
+        layer = nxt
+        yield sum(layer.values()), len(layer)
 
 
 def _validate_args(tau: SetPartition, n: int) -> None:
@@ -168,66 +419,30 @@ def _validate_args(tau: SetPartition, n: int) -> None:
         raise ValueError("n must be nonnegative")
 
 
-def count_avoiders(tau: SetPartition, n: int, *, workers: int = 1) -> CountRecord:
-    """Exact number of partitions of [n] avoiding tau.
+def count_sequence(tau: SetPartition, n_max: int, *, workers: int = 1) -> list[int]:
+    """Exact avoider counts [A_0, A_1, ..., A_n_max] of tau.
 
-    With ``workers > 1`` the search tree is split at prefix depth
-    min(n, 6) and the disjoint subtrees are counted by a process pool; the
-    result is identical to the sequential count.
+    The transfer DP runs first. After a layer m >= 7 short of n_max that
+    holds fewer than 1.25 avoiders per state, the pattern does not
+    compress and the whole sequence is counted by one pruned walk instead,
+    split over ``workers`` processes when ``workers > 1``. Both methods
+    give the same exact integers; ``workers`` has no effect on the DP.
     """
-    _validate_args(tau, n)
+    _validate_args(tau, n_max)
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    check = _anchored_checker(tau)
-    if workers == 1 or n <= _SPLIT_DEPTH:
-        total = _count_pruned(check, n, [], 1)
-    else:
-        tau_text = format_partition(tau)
-        tasks = [(tau_text, n, rgs) for rgs in _avoiding_prefixes(check, _SPLIT_DEPTH)]
-        chunk = max(1, len(tasks) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            total = sum(pool.map(_count_task, tasks, chunksize=chunk))
-    return CountRecord(format_partition(tau), n, total)
+    seq = [1]
+    for count, states in _dp_layers(tau, n_max):
+        seq.append(count)
+        if _DP_MIN_LAYER <= len(seq) - 1 < n_max and states * _DP_STATE_RATIO > count:
+            return _walk_sequence(tau, n_max, workers)
+    return seq
 
 
-def _avoiding_prefixes(
-    check: Callable[[list[list[int]], int], bool], depth: int
-) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-    blocks: list[list[int]] = []
-    rgs: list[int] = []
-
-    def rec(i: int) -> None:
-        if i > depth:
-            out.append(tuple(rgs))
-            return
-        for bi in range(len(blocks)):
-            blocks[bi].append(i)
-            rgs.append(bi)
-            if not check(blocks, bi):
-                rec(i + 1)
-            rgs.pop()
-            blocks[bi].pop()
-        blocks.append([i])
-        rgs.append(len(blocks) - 1)
-        if not check(blocks, len(blocks) - 1):
-            rec(i + 1)
-        rgs.pop()
-        blocks.pop()
-
-    rec(1)
-    return out
-
-
-def _count_task(args: tuple[str, int, tuple[int, ...]]) -> int:
-    tau_text, n, rgs = args
-    check = _anchored_checker(parse(tau_text))
-    blocks: list[list[int]] = []
-    for i, bi in enumerate(rgs, start=1):
-        if bi == len(blocks):
-            blocks.append([])
-        blocks[bi].append(i)
-    return _count_pruned(check, n, blocks, len(rgs) + 1)
+def count_avoiders(tau: SetPartition, n: int, *, workers: int = 1) -> CountRecord:
+    """Exact number of partitions of [n] avoiding tau: entry n of
+    ``count_sequence(tau, n, workers=workers)``."""
+    return CountRecord(format_partition(tau), n, count_sequence(tau, n, workers=workers)[n])
 
 
 def enumerate_avoiders(tau: SetPartition, n: int) -> Iterator[SetPartition]:
@@ -382,20 +597,42 @@ class CountCache:
     """Append-only JSON-lines store of count records, keyed by (tau, n).
 
     Each line is {"tau": str, "n": int, "count": str}; counts are written
-    as decimal strings to keep unbounded magnitude intact.
+    as decimal strings to keep unbounded magnitude intact. A torn tail (a
+    last line that is unterminated or does not parse, as an append cut
+    short leaves it) is skipped with a warning on stderr and cut off before
+    the next append, so its count is recomputed; a bad line anywhere else
+    is an error naming the file.
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self._table: dict[tuple[str, int], int] = {}
-        if self.path.exists():
-            with self.path.open(encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    obj = json.loads(line)
-                    self._table[(obj["tau"], int(obj["n"]))] = int(obj["count"])
+        self._cut: int | None = None
+        if not self.path.exists():
+            return
+        lines = self.path.read_bytes().split(b"\n")
+        last = max((i for i, line in enumerate(lines) if line.strip()), default=-1)
+        offset = 0
+        for i, line in enumerate(lines):
+            start, offset = offset, offset + len(line) + 1
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+                key, count = (obj["tau"], int(obj["n"])), int(obj["count"])
+                if i == len(lines) - 1:
+                    raise ValueError("no line terminator")
+            except (ValueError, KeyError, TypeError) as exc:
+                if i < last:
+                    raise ValueError(f"cache file {self.path}, line {i + 1}: {exc}") from None
+                print(
+                    f"warning: cache file {self.path}: skipped torn last line {i + 1} ({exc});"
+                    " its count will be recomputed",
+                    file=sys.stderr,
+                )
+                self._cut = start
+                continue
+            self._table[key] = count
 
     def __len__(self) -> int:
         return len(self._table)
@@ -408,6 +645,10 @@ class CountCache:
         if key in self._table:
             return
         self._table[key] = record.count
+        if self._cut is not None:
+            with self.path.open("r+b") as fh:
+                fh.truncate(self._cut)
+            self._cut = None
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with self.path.open("a", encoding="utf-8") as fh:
             fh.write(

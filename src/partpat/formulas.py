@@ -89,7 +89,10 @@ def singleton_count(k: int, n: int) -> BigCount:
     if n == 0:
         return 1
     total = sum(stirling2(n, j) for j in range(1, k))
-    assert total <= (k - 1) ** n
+    if total > (k - 1) ** n:
+        raise RuntimeError(
+            f"internal error: singleton_count({k}, {n}) = {total} exceeds (k-1)^n"
+        )
     return total
 
 

@@ -1,8 +1,9 @@
 """Shared helpers: cached exact counts, brute-force containment, pattern lists.
 
-``cached_count`` memoizes across the whole session so the expensive counts
-(for example every layered shape at n = 12) are computed once no matter how
-many invariants consult them.
+``cached_count`` keeps one ``count_sequence`` per pattern for the whole
+session, recounting only when a larger n is asked for, so the expensive
+counts (for example every layered shape up to n = 12) are computed once no
+matter how many invariants consult them.
 """
 
 from __future__ import annotations
@@ -10,12 +11,16 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from partpat import SetPartition, all_partitions, count_avoiders, parse
+from partpat import SetPartition, all_partitions, count_sequence, parse
+
+_sequences: dict[str, list[int]] = {}
 
 
-@lru_cache(maxsize=None)
 def cached_count(tau_text: str, n: int) -> int:
-    return count_avoiders(parse(tau_text), n).count
+    seq = _sequences.get(tau_text)
+    if seq is None or len(seq) <= n:
+        seq = _sequences[tau_text] = count_sequence(parse(tau_text), n)
+    return seq[n]
 
 
 @lru_cache(maxsize=None)

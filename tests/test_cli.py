@@ -6,7 +6,6 @@ import math
 import pytest
 
 import partpat.cli as cli
-from partpat import CountRecord
 from partpat.cli import main
 
 
@@ -106,13 +105,13 @@ class TestCache:
         assert len(cache.read_text().splitlines()) == 6
 
         calls = []
-        real = cli.count_avoiders
+        real = cli.count_sequence
 
-        def spy(tau, n, workers=1):
-            calls.append(n)
-            return real(tau, n, workers=workers)
+        def spy(tau, n_max, workers=1):
+            calls.append(n_max)
+            return real(tau, n_max, workers=workers)
 
-        monkeypatch.setattr(cli, "count_avoiders", spy)
+        monkeypatch.setattr(cli, "count_sequence", spy)
         rc, second, _ = run(
             capsys, "count", "--pattern", "123", "--n-from", "1", "--n-to", "6",
             "--cache", str(cache),
@@ -120,6 +119,53 @@ class TestCache:
         assert rc == 0
         assert calls == []  # every value served from the cache
         assert first == second
+
+    def test_enumerated_pattern_cached_and_counted_once(self, capsys, tmp_path, monkeypatch):
+        cache = tmp_path / "counts.jsonl"
+        calls = []
+        real = cli.count_sequence
+
+        def spy(tau, n_max, workers=1):
+            calls.append(n_max)
+            return real(tau, n_max, workers=workers)
+
+        monkeypatch.setattr(cli, "count_sequence", spy)
+        args = ("count", "--pattern", "1/23", "--n-from", "1", "--cache", str(cache))
+        rc, _, _ = run(capsys, *args, "--n-to", "4")
+        assert rc == 0 and calls == [4]  # one sequence for the whole n range
+        rc, first, _ = run(capsys, *args, "--n-to", "4")
+        assert rc == 0 and calls == [4]  # every value served from the cache
+        rc, second, _ = run(capsys, *args, "--n-to", "6")
+        assert rc == 0 and calls == [4, 6]  # only the misses trigger a count
+        assert second.startswith(first)
+
+    def test_torn_final_line_skipped_and_recomputed(self, capsys, tmp_path):
+        cache = tmp_path / "counts.jsonl"
+        run(capsys, "count", "--pattern", "1/23", "--n-from", "1", "--n-to", "5", "--cache", str(cache))
+        _, expected, _ = run(
+            capsys, "count", "--pattern", "1/23", "--n-from", "1", "--n-to", "5", "--no-cache"
+        )
+        text = cache.read_text()
+        cache.write_text(text[: text.rindex('"count"') + 12])  # cut the last append short
+        rc, out, err = run(
+            capsys, "count", "--pattern", "1/23", "--n-from", "1", "--n-to", "5", "--cache", str(cache)
+        )
+        assert rc == 0 and out == expected
+        assert "warning" in err and str(cache) in err and "line 5" in err
+        lines = cache.read_text().splitlines()
+        assert len(lines) == 5 and json.loads(lines[-1]) == {"tau": "1/23", "n": 5, "count": "11"}
+        rc, again, err = run(
+            capsys, "count", "--pattern", "1/23", "--n-from", "1", "--n-to", "5", "--cache", str(cache)
+        )
+        assert rc == 0 and again == expected and err == ""
+
+    def test_malformed_inner_line_names_the_file(self, capsys, tmp_path):
+        cache = tmp_path / "counts.jsonl"
+        cache.write_text('not json\n{"tau": "12", "n": 3, "count": "1"}\n')
+        rc, _, err = run(
+            capsys, "count", "--pattern", "12", "--n-from", "1", "--n-to", "3", "--cache", str(cache)
+        )
+        assert rc == 1 and str(cache) in err and "line 1" in err
 
     def test_env_var_default_path(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "env-cache.jsonl"
@@ -253,7 +299,7 @@ class TestBounds:
 
     def test_violation_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            cli, "count_avoiders", lambda tau, n, workers=1: CountRecord(str(tau), n, 10**9)
+            cli, "count_sequence", lambda tau, n_max, workers=1: [10**9] * (n_max + 1)
         )
         rc, out, err = run(
             capsys, "bounds", "--shape", "1,2", "--n-from", "2", "--n-to", "2", "--no-cache"
@@ -321,3 +367,13 @@ class TestUniformCommand:
     def test_unknown_command_is_invalid_input(self, capsys):
         rc, _, err = run(capsys, "frobnicate")
         assert rc == 1
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # the pool serves only the walk fallback, so start-up does not pay for it
+    import subprocess
+    import sys
+
+    code = "import sys, partpat.cli; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -10,11 +10,13 @@ from partpat import (
     CountCache,
     CountRecord,
     LayeredShape,
+    SetPartition,
     all_partitions,
     bell,
     contains,
     count_avoiders,
     count_avoiders_oracle,
+    count_sequence,
     enumerate_avoiders,
     f_ratio,
     growth_report,
@@ -24,8 +26,19 @@ from partpat import (
     uniform_count,
     uniform_partitions,
 )
+from partpat import enumeration
+from partpat.enumeration import _dp_layers, _walk_sequence
 
 from conftest import brute_contains, cached_count, compositions, patterns_of
+
+
+def dp_sequence(tau, n_max):
+    return [1] + [count for count, _ in _dp_layers(tau, n_max)]
+
+
+def reverse(tau):
+    k = tau.n
+    return SetPartition(k, tuple(tuple(k + 1 - e for e in b) for b in tau.blocks))
 
 
 class TestCountAvoiders:
@@ -71,6 +84,60 @@ class TestCountAvoiders:
         for tau_text, n in (("123", 9), ("1/23", 8), ("12/34", 8)):
             tau = parse(tau_text)
             assert count_avoiders(tau, n, workers=2) == count_avoiders(tau, n)
+            # the pool serves only the walk, so check it there directly
+            assert _walk_sequence(tau, n, workers=2) == _walk_sequence(tau, n)
+
+
+class TestCountSequence:
+    def test_dp_equals_walk_for_patterns_up_to_5(self):
+        # every n_max, because the DP prunes by the elements still to come
+        for k in range(1, 6):
+            for tau in patterns_of(k):
+                walk = _walk_sequence(tau, 9)
+                for n_max in range(10):
+                    assert dp_sequence(tau, n_max) == walk[: n_max + 1], (str(tau), n_max)
+
+    def test_dp_and_walk_equal_oracle_for_patterns_up_to_4(self):
+        for k in range(1, 5):
+            for tau in patterns_of(k):
+                oracle = [count_avoiders_oracle(tau, n).count for n in range(9)]
+                assert dp_sequence(tau, 8) == oracle, str(tau)
+                assert _walk_sequence(tau, 8) == oracle, str(tau)
+
+    def test_hand_over_to_the_walk_is_exact(self, monkeypatch):
+        walks = []
+        real = enumeration._walk_sequence
+
+        def spy(tau, n_max, workers=1):
+            walks.append((str(tau), n_max))
+            return real(tau, n_max, workers)
+
+        monkeypatch.setattr(enumeration, "_walk_sequence", spy)
+        # a ratio no layer meets: the DP is dropped after layer 7
+        monkeypatch.setattr(enumeration, "_DP_STATE_RATIO", 10**9)
+        for tau_text in ("12/34", "14/235"):
+            tau = parse(tau_text)
+            assert count_sequence(tau, 9) == dp_sequence(tau, 9)
+        assert walks == [("12/34", 9), ("14/235", 9)]
+        # at n_max = 7 the DP has already finished when the test would fire
+        assert count_sequence(parse("12/34"), 7) == dp_sequence(parse("12/34"), 7)
+        assert len(walks) == 2
+
+    def test_noncrossing_partitions_are_catalan(self):
+        catalan = [math.comb(2 * n, n) // (n + 1) for n in range(13)]
+        assert count_sequence(parse("13/24"), 12) == catalan
+
+    def test_14_23_is_not_catalan(self):
+        # In this containment order the 14/23-avoiders are not the (Catalan)
+        # nonnesting partitions: A_5 is 41, where Catalan gives 42.
+        seq = count_sequence(parse("14/23"), 7)
+        assert seq[1:] == [1, 2, 5, 14, 41, 123, 374]
+        assert seq[5] == 41 != math.comb(10, 5) // 6 == 42
+
+    def test_reversal_symmetry_for_patterns_of_5(self):
+        for tau in patterns_of(5):
+            rev = reverse(tau)
+            assert cached_count(str(tau), 10) == cached_count(str(rev), 10), (str(tau), str(rev))
 
 
 class TestOracle:
@@ -347,6 +414,24 @@ class TestCountCache:
         CountCache(path).add(CountRecord("12", 3, 1))
         line = json.loads(path.read_text().strip())
         assert line == {"tau": "12", "n": 3, "count": "1"}
+
+    def test_torn_final_line_is_skipped_with_a_warning(self, tmp_path, capsys):
+        path = tmp_path / "cache.jsonl"
+        path.write_text('{"tau": "12", "n": 3, "count": "1"}\n{"tau": "12", "n": 4, "cou')
+        cache = CountCache(path)
+        err = capsys.readouterr().err
+        assert "warning" in err and str(path) in err and "line 2" in err
+        assert len(cache) == 1 and cache.get("12", 4) is None
+        cache.add(CountRecord("12", 4, 1))
+        reloaded = CountCache(path)
+        assert capsys.readouterr().err == ""
+        assert reloaded.get("12", 3) == 1 and reloaded.get("12", 4) == 1
+
+    def test_malformed_inner_line_is_an_error(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_text('{"tau": "12", "n": 3}\n{"tau": "12", "n": 4, "count": "1"}\n')
+        with pytest.raises(ValueError, match="line 1"):
+            CountCache(path)
 
     def test_add_is_idempotent(self, tmp_path):
         path = tmp_path / "cache.jsonl"

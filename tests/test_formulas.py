@@ -16,6 +16,8 @@ from partpat import (
     stirling2,
 )
 
+from partpat import formulas
+
 from conftest import cached_count, compositions
 
 
@@ -117,6 +119,12 @@ class TestSingletonCount:
         for k in range(2, 6):
             for n in range(1, 11):
                 assert singleton_count(k, n) <= (k - 1) ** n
+
+    def test_bound_breach_raises_even_under_optimization(self, monkeypatch):
+        # an explicit check, not an assert, so it also holds under python -O
+        monkeypatch.setattr(formulas, "stirling2", lambda n, j: 10**6)
+        with pytest.raises(RuntimeError, match="internal error"):
+            singleton_count(3, 4)
 
 
 class TestLogUpperBoundBlock:
