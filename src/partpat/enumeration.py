@@ -2,7 +2,7 @@
 
 ``count_sequence(tau, n_max)`` returns the whole sequence A_0..A_n_max of
 avoider counts, and ``count_avoiders(tau, n)`` is its entry n. Two exact
-methods serve it, chosen layer by layer from what the count itself shows:
+methods serve it:
 
 - A forward transfer DP. Every partition of [m] is an extension of one
   of [m - 1] by element m, and the avoiders of [n] extending an avoiding
@@ -20,9 +20,10 @@ methods serve it, chosen layer by layer from what the count itself shows:
   of a full containment search. The walk tallies the avoiders at every
   depth.
 
-The DP runs first; when a layer shows that the pattern's states do not
-compress (see ``count_sequence``), the walk counts the whole sequence
-instead. ``workers`` parallelizes the walk only.
+The DP runs first and is fast, but its memory grows with the number of
+states; when a layer outgrows a fixed cap (see ``count_sequence``), the
+walk, whose memory grows only with n, counts the whole sequence instead.
+``workers`` parallelizes the walk only.
 
 Counts are exact Python integers throughout; no tally ever rounds.
 """
@@ -66,14 +67,11 @@ DEFAULT_ORACLE_CEILING = 10
 # so the parallel count is order-independent.
 _SPLIT_DEPTH = 6
 
-# count_sequence leaves the transfer DP for the walk after a layer m >=
-# _DP_MIN_LAYER (short of n_max) where states * _DP_STATE_RATIO exceeds the
-# avoiders. A state costs tens of walk nodes, so a DP holding about one
-# state per avoider loses. Every pattern measured (all of [4], [5] and [6]
-# at n = 10, samples of [7] and [8] at n = 11, the slowest at n = 12) ran
-# faster on the DP, with at least 1.5 avoiders per state at such a layer.
-_DP_MIN_LAYER = 7
-_DP_STATE_RATIO = 1.25
+# count_sequence leaves the transfer DP for the walk once a layer holds
+# more than _DP_MAX_STATES states. A state of a pattern of [5] takes about
+# 2.3 KB and two layers are live at once, so this bounds the DP near 250 MB;
+# the walk's memory grows only with n.
+_DP_MAX_STATES = 50_000
 
 
 class CeilingError(RuntimeError):
@@ -242,9 +240,7 @@ def _transfer_tables(tau: SetPartition):
     pattern element j + 1: whether its block is unmet so far, its position
     among the recurring hosts (after the match when it opens), whether it
     recurs later, and how many pattern blocks are still unmet after it.
-    free[j] counts the unmet pattern blocks after j elements. covers[j]
-    lists (j2, proj) for the j2 > j reached without meeting a new block;
-    proj picks the hosts at j that recur after j2.
+    free[j] counts the unmet pattern blocks after j elements.
     """
     k = tau.n
     pat = [tau.block_of[e] for e in range(1, k + 1)]
@@ -257,15 +253,7 @@ def _transfer_tables(tau: SetPartition):
         recurs = b in pat[j + 1:]
         pos = recurring[j + 1 if opens_new else j].index(b) if recurs or not opens_new else 0
         steps.append((opens_new, pos, recurs, free[j + 1]))
-    covers = [
-        [
-            (j2, tuple(recurring[j].index(b) for b in recurring[j2]))
-            for j2 in range(j + 1, k)
-            if free[j2] == free[j]
-        ]
-        for j in range(k)
-    ]
-    return steps, free, covers
+    return steps, free
 
 
 def _has_disjoint(sets: list[frozenset[int]], need: int, taken: frozenset[int] = _NONE, start: int = 0) -> bool:
@@ -298,20 +286,21 @@ def _merge_exclusions(excls: list[frozenset[int]], free: int) -> list[frozenset[
     return minimal
 
 
-def _dp_layers(tau: SetPartition, n_max: int) -> Iterator[tuple[int, int]]:
-    """Forward transfer DP over signature-set states: yields (A_m, number of
-    states) for m = 1..n_max.
+def _dp_layers(tau: SetPartition, n_max: int, max_states: float = math.inf) -> Iterator[int]:
+    """Forward transfer DP over signature-set states: yields A_m for
+    m = 1..n_max, and stops early once a layer holds more than
+    ``max_states`` states.
 
     A state is (unnamed live blocks, named blocks, signature set), with the
     named blocks relabelled 0..r-1 by their roles. Besides merging
-    exclusion sets, a state drops the signatures another one covers, those
-    needing more elements than the n_max - m still to come, and dead
-    blocks: a block that would complete an occurrence takes no further
-    element, so it and the signatures waiting on it are forgotten. When
-    the last pattern element opens a block, a signature at j = k - 1
-    confines every later element to its excluded blocks and the rest die.
+    exclusion sets, a state drops the signatures needing more elements than
+    the n_max - m still to come, and dead blocks: a block that would
+    complete an occurrence takes no further element, so it and the
+    signatures waiting on it are forgotten. When the last pattern element
+    opens a block, a signature at j = k - 1 confines every later element to
+    its excluded blocks and the rest die.
     """
-    steps, free, covers = _transfer_tables(tau)
+    steps, free = _transfer_tables(tau)
     k = tau.n
     last_opens, last_pos = steps[k - 1][0], steps[k - 1][1]
 
@@ -342,22 +331,11 @@ def _dp_layers(tau: SetPartition, n_max: int) -> Iterator[tuple[int, int]]:
         groups: dict[tuple, list[frozenset[int]]] = {}
         for j, hosts, excl in sigs:
             groups.setdefault((j, hosts), []).append(excl)
-        for key, excls in groups.items():
-            if len(excls) > 1:
-                groups[key] = _merge_exclusions(excls, free[key[0]])
-        out = []
-        for (j, hosts), excls in groups.items():
-            for excl in excls:
-                # a signature further along with the same recurring hosts and
-                # no new exclusions has every completion this one has
-                seen = excl.union(hosts)
-                if not any(
-                    e <= seen
-                    for j2, proj in covers[j]
-                    for e in groups.get((j2, tuple(hosts[i] for i in proj)), ())
-                ):
-                    out.append((j, hosts, excl))
-        return out
+        return [
+            (j, hosts, excl)
+            for (j, hosts), excls in groups.items()
+            for excl in (_merge_exclusions(excls, free[j]) if len(excls) > 1 else excls)
+        ]
 
     def settle(raw: set, horizon: int) -> tuple[int, int, bool, frozenset]:
         """(named blocks, named blocks that died, confined, canonical sigs)."""
@@ -381,12 +359,14 @@ def _dp_layers(tau: SetPartition, n_max: int) -> Iterator[tuple[int, int]]:
                 roles.setdefault(h, []).append((j, -1))
         order = sorted(roles, key=lambda h: (sorted(roles[h]), h))
         label = {h: i for i, h in enumerate(order)}
-        canon = frozenset(
-            (j, tuple(label[h] for h in hosts), frozenset(label[h] for h in excl))
-            for j, hosts, excl in sigs
-        )
-        return len(order), len(dead), confined, canon
+        canon = []
+        for j, hosts, excl in sigs:
+            sig = (j, tuple(label[h] for h in hosts), frozenset(label[h] for h in excl))
+            # every state holding a signature shares one copy: a fifth of the memory
+            canon.append(interned.setdefault(sig, sig))
+        return len(order), len(dead), confined, frozenset(canon)
 
+    interned: dict[tuple, tuple] = {}
     layer: dict[tuple[int, int, frozenset], int] = {(0, 0, _NONE): 1}
     for m in range(1, n_max + 1):
         horizon = n_max - m
@@ -408,8 +388,10 @@ def _dp_layers(tau: SetPartition, n_max: int) -> Iterator[tuple[int, int]]:
                     if unnamed:
                         nxt[live - dead - r, r, canon] += mult * unnamed
                     nxt[live + 1 - dead - r, r, canon] += mult
+            if len(nxt) > max_states:
+                return
         layer = nxt
-        yield sum(layer.values()), len(layer)
+        yield sum(layer.values())
 
 
 def _validate_args(tau: SetPartition, n: int) -> None:
@@ -422,20 +404,18 @@ def _validate_args(tau: SetPartition, n: int) -> None:
 def count_sequence(tau: SetPartition, n_max: int, *, workers: int = 1) -> list[int]:
     """Exact avoider counts [A_0, A_1, ..., A_n_max] of tau.
 
-    The transfer DP runs first. After a layer m >= 7 short of n_max that
-    holds fewer than 1.25 avoiders per state, the pattern does not
-    compress and the whole sequence is counted by one pruned walk instead,
-    split over ``workers`` processes when ``workers > 1``. Both methods
-    give the same exact integers; ``workers`` has no effect on the DP.
+    The transfer DP runs first. If a layer outgrows the DP's state cap,
+    the pattern does not compress enough to count in bounded memory and
+    the whole sequence is counted by one pruned walk instead, split over
+    ``workers`` processes when ``workers > 1``. Both methods give the same
+    exact integers; ``workers`` has no effect on the DP.
     """
     _validate_args(tau, n_max)
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    seq = [1]
-    for count, states in _dp_layers(tau, n_max):
-        seq.append(count)
-        if _DP_MIN_LAYER <= len(seq) - 1 < n_max and states * _DP_STATE_RATIO > count:
-            return _walk_sequence(tau, n_max, workers)
+    seq = [1, *_dp_layers(tau, n_max, _DP_MAX_STATES)]
+    if len(seq) <= n_max:
+        return _walk_sequence(tau, n_max, workers)
     return seq
 
 

@@ -33,7 +33,7 @@ from conftest import brute_contains, cached_count, compositions, patterns_of
 
 
 def dp_sequence(tau, n_max):
-    return [1] + [count for count, _ in _dp_layers(tau, n_max)]
+    return [1, *_dp_layers(tau, n_max)]
 
 
 def reverse(tau):
@@ -109,18 +109,20 @@ class TestCountSequence:
         real = enumeration._walk_sequence
 
         def spy(tau, n_max, workers=1):
-            walks.append((str(tau), n_max))
+            walks.append((str(tau), n_max, workers))
             return real(tau, n_max, workers)
 
         monkeypatch.setattr(enumeration, "_walk_sequence", spy)
-        # a ratio no layer meets: the DP is dropped after layer 7
-        monkeypatch.setattr(enumeration, "_DP_STATE_RATIO", 10**9)
-        for tau_text in ("12/34", "14/235"):
+        # a cap both patterns outgrow part-way, at layers 7 and 4
+        monkeypatch.setattr(enumeration, "_DP_MAX_STATES", 10)
+        assert len(list(_dp_layers(parse("12/34"), 9, 10))) == 6
+        assert len(list(_dp_layers(parse("14/235"), 9, 10))) == 3
+        for tau_text, workers in (("12/34", 1), ("14/235", 2)):
             tau = parse(tau_text)
-            assert count_sequence(tau, 9) == dp_sequence(tau, 9)
-        assert walks == [("12/34", 9), ("14/235", 9)]
-        # at n_max = 7 the DP has already finished when the test would fire
-        assert count_sequence(parse("12/34"), 7) == dp_sequence(parse("12/34"), 7)
+            assert count_sequence(tau, 9, workers=workers) == dp_sequence(tau, 9)
+        assert walks == [("12/34", 9, 1), ("14/235", 9, 2)]
+        # a pattern whose layers stay under the cap never walks
+        assert count_sequence(parse("14/2/3"), 9) == dp_sequence(parse("14/2/3"), 9)
         assert len(walks) == 2
 
     def test_noncrossing_partitions_are_catalan(self):
