@@ -45,7 +45,7 @@ from .enumeration import (
     uniform_count,
     uniform_partitions,
 )
-from .formulas import block_recursion, log_upper_bound_layered
+from .formulas import log_lower_bound_uniform, log_upper_bound_layered
 
 __all__ = ["main"]
 
@@ -91,16 +91,18 @@ class ScanConfig:
     def __post_init__(self) -> None:
         if self.n_from < 0 or self.n_to < self.n_from:
             raise ValueError("n range is empty or negative")
-        if self.workers < 1:
-            raise ValueError("worker count must be >= 1")
+        # the pool starts all its workers at once, so more than the CPUs only costs memory
+        cpus = os.cpu_count() or 1
+        if not 1 <= self.workers <= cpus:
+            raise ValueError(f"worker count must be between 1 and {cpus}, the CPU count")
         if self.oracle_ceiling > 12:
             raise ValueError("oracle ceiling must be <= 12")
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"unknown format {self.fmt!r}")
 
     def check_ceiling(self) -> None:
-        # one-block patterns are served by the closed recursion, which has no
-        # practical depth limit; everything else goes to count_sequence
+        # count_sequence serves one-block patterns by the closed recursion,
+        # which has no practical depth limit
         needs_enumeration = any(len(p.blocks) > 1 for p in self.patterns)
         if self.use_oracle:
             if self.n_to > self.oracle_ceiling:
@@ -151,13 +153,11 @@ def _fmt(x: Any) -> str:
 def _counter(config: ScanConfig):
     """Cache-aware count function for the scan subcommands.
 
-    One-block patterns route through the block recursion, which matches the
-    enumerator exactly and stays fast far beyond the enumeration ceiling.
-    Other patterns are counted once per scan: the first miss asks
-    ``count_sequence`` for every n up to n_to.
+    A cache miss is counted by the oracle under ``--oracle``; otherwise each
+    pattern is counted once per scan: the first miss asks ``count_sequence``
+    for every n up to n_to.
     """
     cache = CountCache(config.cache_path) if config.cache_path else None
-    recursion: dict[int, list[int]] = {}
     sequences: dict[str, list[int]] = {}
 
     def count(tau: SetPartition, n: int) -> CountRecord:
@@ -168,14 +168,6 @@ def _counter(config: ScanConfig):
                 return CountRecord(text, n, hit)
         if config.use_oracle:
             record = count_avoiders_oracle(tau, n, ceiling=config.oracle_ceiling)
-        elif len(tau.blocks) == 1 and tau.n == 1:
-            record = CountRecord(text, n, 1 if n == 0 else 0)
-        elif len(tau.blocks) == 1:
-            table = recursion.get(tau.n)
-            if table is None or len(table) <= n:
-                table = block_recursion(tau.n, max(n, config.n_to, 1))
-                recursion[tau.n] = table
-            record = CountRecord(text, n, table[n])
         else:
             seq = sequences.get(text)
             if seq is None or len(seq) <= n:
@@ -319,13 +311,12 @@ def _conjecture_one(
     )
 
 
-def _conjecture_probes(
-    tau_text: str, records: list[CountRecord]
-) -> list[ConjectureVerdict]:
-    tau = parse(tau_text)
-    pm, _ = permeability(tau)
-    usable = [r for r in records if r.n >= 2 and r.count > 0]
-    fs = [(r.n, f_ratio(r)) for r in usable]
+def _conjecture_probes(rows: list[dict[str, Any]]) -> list[ConjectureVerdict]:
+    """Verdicts on conjectures 5, 6 and 2-4 for one pattern, read off its
+    ``_scan_rows``."""
+    tau_text, pm, target = rows[0]["tau"], rows[0]["pm"], rows[0]["pm_target"]
+    usable = [r for r in rows if r["f_ratio"] is not None]
+    fs = [(r["n"], r["f_ratio"]) for r in usable]
     verdicts: list[ConjectureVerdict] = []
 
     if pm == 0:
@@ -342,44 +333,39 @@ def _conjecture_probes(
         )
         return verdicts
 
-    target = 1.0 - 1.0 / pm
-    gaps = [(n, target - f) for n, f in fs]
-    margins = [abs(g) * math.log(n) for n, g in gaps]
+    margins = [abs(r["gap_times_log_n"]) for r in usable]
     rows5 = tuple(
-        {"n": n, "f_ratio": f, "pm_target": target, "gap": g}
-        for (n, f), (_, g) in zip(fs, gaps)
+        {"n": r["n"], "f_ratio": r["f_ratio"], "pm_target": target, "gap": r["gap"]} for r in usable
     )
-    status5 = "inconsistent" if _margin_blow_up(margins) else "consistent"
-    last_gap = gaps[-1][1] if gaps else None
+    status = "inconsistent" if _margin_blow_up(margins) else "consistent"
+    last = usable[-1] if usable else {"n": "-", "gap": None}
     verdicts.append(
         ConjectureVerdict(
-            "5", tau_text, status5,
-            f"pm={pm}, target={_fmt(target)}, gap at n={gaps[-1][0] if gaps else '-'} is {_fmt(last_gap)}",
+            "5", tau_text, status,
+            f"pm={pm}, target={_fmt(target)}, gap at n={last['n']} is {_fmt(last['gap'])}",
             rows5,
         )
     )
 
-    rows6 = tuple({"n": n, "margin": m} for (n, _), m in zip(gaps, margins))
-    status6 = "inconsistent" if _margin_blow_up(margins) else "consistent"
-    summary6 = f"|F_n - (1-1/{pm})| * ln n stays within [{_fmt(min(margins, default=0.0))}, {_fmt(max(margins, default=0.0))}]"
-    if fs:
-        f_last = fs[-1][1]
-        if f_last < 1.0:
-            c_est = 1.0 / (1.0 - f_last)
-            nearest = max(1, round(c_est))
-            if nearest != pm:
-                summary6 += (
-                    f"; observed trend prefers c={nearest} (target {_fmt(1 - 1 / nearest)})"
-                    f" over pm-based c={pm}"
-                )
-    verdicts.append(ConjectureVerdict("6", tau_text, status6, summary6, rows6))
+    rows24 = []
+    for n, f in fs:
+        c_est = 1.0 / (1.0 - f) if f < 1.0 else None
+        dist = abs(c_est - round(c_est)) if c_est is not None else None
+        rows24.append({"n": n, "c_estimate": c_est, "distance_to_integer": dist})
 
-    if fs:
-        rows24 = []
-        for n, f in fs:
-            c_est = 1.0 / (1.0 - f) if f < 1.0 else None
-            dist = abs(c_est - round(c_est)) if c_est is not None else None
-            rows24.append({"n": n, "c_estimate": c_est, "distance_to_integer": dist})
+    rows6 = tuple({"n": r["n"], "margin": m} for r, m in zip(usable, margins))
+    summary6 = f"|F_n - (1-1/{pm})| * ln n stays within [{_fmt(min(margins, default=0.0))}, {_fmt(max(margins, default=0.0))}]"
+    c_last = rows24[-1]["c_estimate"] if rows24 else None
+    if c_last is not None:
+        nearest = max(1, round(c_last))
+        if nearest != pm:
+            summary6 += (
+                f"; observed trend prefers c={nearest} (target {_fmt(1 - 1 / nearest)})"
+                f" over pm-based c={pm}"
+            )
+    verdicts.append(ConjectureVerdict("6", tau_text, status, summary6, rows6))
+
+    if rows24:
         tail = rows24[-1]
         verdicts.append(
             ConjectureVerdict(
@@ -414,12 +400,12 @@ def _cmd_conjectures(args: argparse.Namespace) -> int:
     verdicts: list[ConjectureVerdict] = []
     if args.all_k is not None:
         verdicts.append(_conjecture_one(args.all_k, counts, config.ns()))
-    for tau_text, records in counts.items():
-        verdicts.extend(_conjecture_probes(tau_text, records))
-
-    scan_rows = []
-    for tau in patterns:
-        scan_rows.extend(_scan_rows(tau, counts[format_partition(tau)]))
+    rows_of = {
+        format_partition(tau): _scan_rows(tau, counts[format_partition(tau)]) for tau in patterns
+    }
+    for rows in rows_of.values():
+        verdicts.extend(_conjecture_probes(rows))
+    scan_rows = [row for tau in patterns for row in rows_of[format_partition(tau)]]
     doc = {
         "verdicts": [
             {
@@ -486,12 +472,12 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
                 continue
             rec = count(tau, n)
             ln_count = math.log(rec.count) if rec.count > 0 else None
-            upper = log_upper_bound_layered(k, r, n).value
+            upper = log_upper_bound_layered(k, r, n)
             lower = None
             if t == 1:
                 lower = 0.0
             elif n % t == 0:
-                lower = (t - 1) * math.log(math.factorial(n // t))
+                lower = log_lower_bound_uniform(t, n)
             within = (
                 ln_count is not None
                 and ln_count <= upper + 1e-9

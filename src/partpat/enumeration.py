@@ -1,9 +1,12 @@
 """Exact enumeration of pattern-avoiding set partitions.
 
 ``count_sequence(tau, n_max)`` returns the whole sequence A_0..A_n_max of
-avoider counts, and ``count_avoiders(tau, n)`` is its entry n. Two exact
-methods serve it:
+avoider counts, and ``count_avoiders(tau, n)`` is its entry n. It picks
+the first exact method that applies:
 
+- The block recursion. The partitions avoiding the one-block pattern of
+  [k], k >= 2, are those whose blocks hold at most k - 1 elements, which
+  ``formulas.block_recursion`` counts in closed form at any depth.
 - A forward transfer DP. Every partition of [m] is an extension of one
   of [m - 1] by element m, and the avoiders of [n] extending an avoiding
   prefix depend only on the set of partial occurrences of tau it holds,
@@ -20,10 +23,10 @@ methods serve it:
   of a full containment search. The walk tallies the avoiders at every
   depth.
 
-The DP runs first and is fast, but its memory grows with the number of
-states; when a layer outgrows a fixed cap (see ``count_sequence``), the
-walk, whose memory grows only with n, counts the whole sequence instead.
-``workers`` parallelizes the walk only.
+Every other pattern goes to the DP, which is fast, but its memory grows
+with the number of states; when a layer outgrows a fixed cap (see
+``count_sequence``), the walk, whose memory grows only with n, counts the
+whole sequence instead. ``workers`` parallelizes the walk only.
 
 Counts are exact Python integers throughout; no tally ever rounds.
 """
@@ -38,24 +41,22 @@ from collections import defaultdict
 from dataclasses import dataclass
 from itertools import permutations, product
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
-from .core import SetPartition, format_partition, parse, permeability, sba
+from .core import SetPartition, format_partition, parse, sba
+from .formulas import block_recursion
 
 __all__ = [
     "CeilingError",
     "CountCache",
     "CountRecord",
     "DEFAULT_ORACLE_CEILING",
-    "GrowthReport",
-    "GrowthRow",
     "all_partitions",
     "count_avoiders",
     "count_avoiders_oracle",
     "count_sequence",
     "enumerate_avoiders",
     "f_ratio",
-    "growth_report",
     "uniform_avoids",
     "uniform_count",
     "uniform_partitions",
@@ -404,15 +405,18 @@ def _validate_args(tau: SetPartition, n: int) -> None:
 def count_sequence(tau: SetPartition, n_max: int, *, workers: int = 1) -> list[int]:
     """Exact avoider counts [A_0, A_1, ..., A_n_max] of tau.
 
-    The transfer DP runs first. If a layer outgrows the DP's state cap,
-    the pattern does not compress enough to count in bounded memory and
-    the whole sequence is counted by one pruned walk instead, split over
-    ``workers`` processes when ``workers > 1``. Both methods give the same
-    exact integers; ``workers`` has no effect on the DP.
+    A one-block pattern of [k], k >= 2, is counted by the block recursion.
+    Any other pattern goes to the transfer DP first. If a layer outgrows
+    the DP's state cap, the pattern does not compress enough to count in
+    bounded memory and the whole sequence is counted by one pruned walk
+    instead, split over ``workers`` processes when ``workers > 1``. All
+    methods give the same exact integers; ``workers`` affects only the walk.
     """
     _validate_args(tau, n_max)
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    if len(tau.blocks) == 1 and tau.n >= 2:
+        return block_recursion(tau.n, max(n_max, 1))[: n_max + 1]
     seq = [1, *_dp_layers(tau, n_max, _DP_MAX_STATES)]
     if len(seq) <= n_max:
         return _walk_sequence(tau, n_max, workers)
@@ -425,11 +429,13 @@ def count_avoiders(tau: SetPartition, n: int, *, workers: int = 1) -> CountRecor
     return CountRecord(format_partition(tau), n, count_sequence(tau, n, workers=workers)[n])
 
 
-def enumerate_avoiders(tau: SetPartition, n: int) -> Iterator[SetPartition]:
-    """Yield every avoider of tau among partitions of [n], each exactly once,
-    in lexicographic restricted-growth-string order."""
-    _validate_args(tau, n)
-    check = _anchored_checker(tau)
+def _rgs(n: int, check: Callable[[list[list[int]], int], bool] | None) -> Iterator[SetPartition]:
+    """Partitions of [n] in lexicographic restricted-growth-string order.
+
+    A prefix is pruned, with everything below it, when ``check(blocks, bi)``
+    holds for the block bi that its newest element joined; a None check
+    prunes nothing.
+    """
     blocks: list[list[int]] = []
 
     def rec(i: int) -> Iterator[SetPartition]:
@@ -438,36 +444,29 @@ def enumerate_avoiders(tau: SetPartition, n: int) -> Iterator[SetPartition]:
             return
         for bi in range(len(blocks)):
             blocks[bi].append(i)
-            if not check(blocks, bi):
+            if check is None or not check(blocks, bi):
                 yield from rec(i + 1)
             blocks[bi].pop()
         blocks.append([i])
-        if not check(blocks, len(blocks) - 1):
+        if check is None or not check(blocks, len(blocks) - 1):
             yield from rec(i + 1)
         blocks.pop()
 
-    yield from rec(1)
+    return rec(1)
+
+
+def enumerate_avoiders(tau: SetPartition, n: int) -> Iterator[SetPartition]:
+    """Yield every avoider of tau among partitions of [n], each exactly once,
+    in lexicographic restricted-growth-string order."""
+    _validate_args(tau, n)
+    yield from _rgs(n, _anchored_checker(tau))
 
 
 def all_partitions(n: int) -> Iterator[SetPartition]:
     """All set partitions of [n] in lexicographic restricted-growth-string order."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    blocks: list[list[int]] = []
-
-    def rec(i: int) -> Iterator[SetPartition]:
-        if i > n:
-            yield SetPartition(n, tuple(tuple(b) for b in blocks))
-            return
-        for bi in range(len(blocks)):
-            blocks[bi].append(i)
-            yield from rec(i + 1)
-            blocks[bi].pop()
-        blocks.append([i])
-        yield from rec(i + 1)
-        blocks.pop()
-
-    yield from rec(1)
+    yield from _rgs(n, None)
 
 
 def count_avoiders_oracle(
@@ -543,34 +542,6 @@ def uniform_avoids(tau: SetPartition, t: int) -> bool:
     if t < 1:
         raise ValueError("section count must be >= 1")
     return sba(tau) >= t
-
-
-@dataclass(frozen=True)
-class GrowthRow:
-    n: int
-    count: int
-    f_ratio: float | None
-    pm_target: float | None
-
-
-@dataclass(frozen=True)
-class GrowthReport:
-    """Per-n growth diagnostics for one pattern. ``pm_target`` is 1 - 1/pm,
-    absent when pm = 0; ``f_ratio`` is absent for n < 2."""
-
-    tau: str
-    pm: int
-    rows: tuple[GrowthRow, ...]
-
-
-def growth_report(tau: SetPartition, records: Sequence[CountRecord]) -> GrowthReport:
-    pm, _ = permeability(tau)
-    target = 1.0 - 1.0 / pm if pm >= 1 else None
-    rows = tuple(
-        GrowthRow(r.n, r.count, f_ratio(r) if r.n >= 2 else None, target)
-        for r in sorted(records, key=lambda r: r.n)
-    )
-    return GrowthReport(format_partition(tau), pm, rows)
 
 
 class CountCache:

@@ -8,11 +8,8 @@ floating point, and comparisons against them should allow a small slack
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
-    "BigCount",
-    "LogBound",
     "bell",
     "block_recursion",
     "log_lower_bound_uniform",
@@ -22,17 +19,7 @@ __all__ = [
     "stirling2",
 ]
 
-BigCount = int
-
-
-@dataclass(frozen=True)
-class LogBound:
-    """Natural logarithm of a bound expression; compare bounds in log space."""
-
-    value: float
-
-
-def bell(n: int) -> BigCount:
+def bell(n: int) -> int:
     """Bell number via the triangle recurrence."""
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -45,7 +32,7 @@ def bell(n: int) -> BigCount:
     return row[0]
 
 
-def stirling2(n: int, j: int) -> BigCount:
+def stirling2(n: int, j: int) -> int:
     """Partitions of [n] into exactly j nonempty blocks,
     S(n, j) = j S(n-1, j) + S(n-1, j-1)."""
     if n < 0 or j < 0:
@@ -62,7 +49,7 @@ def stirling2(n: int, j: int) -> BigCount:
     return row[j] if j < len(row) else 0
 
 
-def block_recursion(k: int, n_max: int) -> list[BigCount]:
+def block_recursion(k: int, n_max: int) -> list[int]:
     """f(0..n_max) where f(n) counts partitions of [n] with all blocks of
     size at most k - 1, via f(n+1) = sum_{i=0}^{k-2} C(n, i) f(n-i).
 
@@ -79,7 +66,7 @@ def block_recursion(k: int, n_max: int) -> list[BigCount]:
     return f
 
 
-def singleton_count(k: int, n: int) -> BigCount:
+def singleton_count(k: int, n: int) -> int:
     """Partitions of [n] avoiding the all-singleton pattern of [k]: exactly
     those with at most k - 1 blocks, so sum_{j=1..k-1} S(n, j) for n >= 1."""
     if k < 2:
@@ -96,7 +83,7 @@ def singleton_count(k: int, n: int) -> BigCount:
     return total
 
 
-def log_upper_bound_block(k: int, n: int) -> LogBound:
+def log_upper_bound_block(k: int, n: int) -> float:
     """ln of k^n * n^(n (1 - 1/(k-1))), the ceiling for the one-block pattern.
 
     The exponent degenerates at k = 2, where only the all-singleton
@@ -107,25 +94,23 @@ def log_upper_bound_block(k: int, n: int) -> LogBound:
     if n < 1:
         raise ValueError("n must be >= 1")
     if k == 2:
-        return LogBound(n * math.log(2.0))
-    return LogBound(n * math.log(k) + n * (1.0 - 1.0 / (k - 1)) * math.log(n))
+        return n * math.log(2.0)
+    return n * math.log(k) + n * (1.0 - 1.0 / (k - 1)) * math.log(n)
 
 
-def log_upper_bound_layered(k: int, r: int, n: int) -> LogBound:
+def log_upper_bound_layered(k: int, r: int, n: int) -> float:
     """ln of ((k+1)/2)^(2n) * n^(n (1 - 1/(k-r))), the layered-pattern ceiling."""
     if r < 1 or k <= r:
         raise ValueError("need k > r >= 1")
     if n < 1:
         raise ValueError("n must be >= 1")
-    return LogBound(
-        2 * n * math.log((k + 1) / 2.0) + n * (1.0 - 1.0 / (k - r)) * math.log(n)
-    )
+    return 2 * n * math.log((k + 1) / 2.0) + n * (1.0 - 1.0 / (k - r)) * math.log(n)
 
 
-def log_lower_bound_uniform(t: int, n: int) -> LogBound:
+def log_lower_bound_uniform(t: int, n: int) -> float:
     """ln of (n/t)!^(t-1), the number of uniform partitions with t sections."""
     if t < 2:
         raise ValueError("t must be >= 2")
     if n % t:
         raise ValueError(f"t={t} does not divide n={n}")
-    return LogBound((t - 1) * math.log(math.factorial(n // t)))
+    return (t - 1) * math.log(math.factorial(n // t))

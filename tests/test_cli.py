@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 
 import pytest
 
@@ -41,6 +42,28 @@ class TestCount:
         rows = json.loads(out)
         assert [row["count"] for row in rows] == ["1"] * 5
         assert rows[0]["pm"] == 0 and rows[0]["pm_target"] is None
+
+    def test_json_growth_columns(self, capsys):
+        rc, out, _ = run(
+            capsys, "count", "--pattern", "123", "--n-from", "1", "--n-to", "5",
+            "--no-cache", "--format", "json",
+        )
+        assert rc == 0
+        rows = json.loads(out)
+        assert [row["n"] for row in rows] == [1, 2, 3, 4, 5]
+        assert all(row["tau"] == "123" and row["pm"] == 2 for row in rows)
+        assert all(row["pm_target"] == pytest.approx(0.5) for row in rows)
+        assert rows[0]["f_ratio"] is None
+        assert rows[1]["f_ratio"] == pytest.approx(0.5)
+
+    def test_workers_capped_at_cpu_count(self, capsys):
+        # rejected while the arguments are validated, so no process is started
+        limit = os.cpu_count() or 1
+        rc, _, err = run(
+            capsys, "count", "--pattern", "12/34", "--n-from", "1", "--n-to", "8",
+            "--no-cache", "--workers", str(limit * 1000),
+        )
+        assert rc == 1 and f"1 and {limit}" in err
 
     def test_deterministic_output(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -13,13 +13,13 @@ from partpat import (
     SetPartition,
     all_partitions,
     bell,
+    block_recursion,
     contains,
     count_avoiders,
     count_avoiders_oracle,
     count_sequence,
     enumerate_avoiders,
     f_ratio,
-    growth_report,
     parse,
     sba,
     uniform_avoids,
@@ -124,6 +124,15 @@ class TestCountSequence:
         # a pattern whose layers stay under the cap never walks
         assert count_sequence(parse("14/2/3"), 9) == dp_sequence(parse("14/2/3"), 9)
         assert len(walks) == 2
+
+    def test_one_block_pattern_uses_the_block_recursion(self, monkeypatch):
+        def no_dp(tau, n_max, max_states=math.inf):
+            raise AssertionError("the DP was asked for a one-block pattern")
+
+        monkeypatch.setattr(enumeration, "_dp_layers", no_dp)
+        assert count_sequence(parse("1234"), 30) == block_recursion(4, 30)
+        assert count_sequence(parse("12"), 0) == [1]
+        assert count_avoiders(parse("123"), 200).count == block_recursion(3, 200)[200]
 
     def test_noncrossing_partitions_are_catalan(self):
         catalan = [math.comb(2 * n, n) // (n + 1) for n in range(13)]
@@ -378,22 +387,6 @@ class TestLowerBoundRealized:
                         shape.parts,
                         n,
                     )
-
-
-class TestGrowthReport:
-    def test_rows_and_target(self):
-        tau = parse("123")
-        records = [CountRecord("123", n, cached_count("123", n)) for n in (1, 2, 5)]
-        report = growth_report(tau, records)
-        assert report.tau == "123" and report.pm == 2
-        assert [r.n for r in report.rows] == [1, 2, 5]
-        assert report.rows[0].f_ratio is None
-        assert report.rows[1].f_ratio == pytest.approx(0.5)
-        assert all(r.pm_target == pytest.approx(0.5) for r in report.rows)
-
-    def test_degenerate_target(self):
-        report = growth_report(parse("1/2"), [CountRecord("1/2", 3, 1)])
-        assert report.pm == 0 and report.rows[0].pm_target is None
 
 
 class TestCountCache:

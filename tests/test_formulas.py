@@ -16,7 +16,8 @@ from partpat import (
     stirling2,
 )
 
-from partpat import formulas
+from partpat import formulas, parse
+from partpat.enumeration import _dp_layers, _walk_sequence
 
 from conftest import cached_count, compositions
 
@@ -73,11 +74,13 @@ class TestBlockRecursion:
         assert block_recursion(2, 12) == [1] * 13
 
     def test_matches_counter(self):
+        # count_sequence answers one-block patterns with block_recursion, so
+        # the closed form is checked against the DP and the walk directly
         for k in (3, 4, 5):
+            tau = parse("".join(str(i) for i in range(1, k + 1)))
             f = block_recursion(k, 10)
-            tau = "".join(str(i) for i in range(1, k + 1))
-            for n in range(11):
-                assert f[n] == cached_count(tau, n), (k, n)
+            assert f == _walk_sequence(tau, 10), k
+            assert f == [1, *_dp_layers(tau, 10)], k
 
     def test_counts_bounded_block_sizes(self):
         # f(n) equals the number of partitions with all blocks of size < k
@@ -129,22 +132,22 @@ class TestSingletonCount:
 
 class TestLogUpperBoundBlock:
     def test_n1(self):
-        assert log_upper_bound_block(3, 1).value == pytest.approx(math.log(3))
+        assert log_upper_bound_block(3, 1) == pytest.approx(math.log(3))
 
     def test_k3_n10(self):
         expected = 10 * math.log(3) + 5 * math.log(10)
-        got = log_upper_bound_block(3, 10).value
+        got = log_upper_bound_block(3, 10)
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(22.49, abs=0.01)
         assert got > math.log(9496)
 
     def test_k5_n8(self):
-        assert log_upper_bound_block(5, 8).value == pytest.approx(
+        assert log_upper_bound_block(5, 8) == pytest.approx(
             8 * math.log(5) + 6 * math.log(8), abs=1e-12
         )
 
     def test_k2_special_case(self):
-        assert log_upper_bound_block(2, 7).value == pytest.approx(7 * math.log(2))
+        assert log_upper_bound_block(2, 7) == pytest.approx(7 * math.log(2))
 
     def test_k1_rejected(self):
         with pytest.raises(ValueError):
@@ -154,20 +157,20 @@ class TestLogUpperBoundBlock:
         for k in (3, 4, 5):
             f = block_recursion(k, 200)
             for n in range(1, 201):
-                assert math.log(f[n]) <= log_upper_bound_block(k, n).value + 1e-9
+                assert math.log(f[n]) <= log_upper_bound_block(k, n) + 1e-9
 
 
 class TestLogUpperBoundLayered:
     def test_k3_r1_n10(self):
-        value = log_upper_bound_layered(3, 1, 10).value
+        value = log_upper_bound_layered(3, 1, 10)
         assert value == pytest.approx(20 * math.log(2) + 5 * math.log(10), abs=1e-12)
         assert value > math.log(9496)
 
     def test_n1_kills_second_term(self):
-        assert log_upper_bound_layered(4, 2, 1).value == pytest.approx(2 * math.log(2.5))
+        assert log_upper_bound_layered(4, 2, 1) == pytest.approx(2 * math.log(2.5))
 
     def test_k5_r2_n9(self):
-        assert log_upper_bound_layered(5, 2, 9).value == pytest.approx(
+        assert log_upper_bound_layered(5, 2, 9) == pytest.approx(
             18 * math.log(3) + 6 * math.log(9), abs=1e-12
         )
 
@@ -185,19 +188,19 @@ class TestLogUpperBoundLayered:
                 for n in range(1, 11):
                     assert (
                         math.log(cached_count(tau, n))
-                        <= log_upper_bound_layered(shape.k, shape.r, n).value + 1e-9
+                        <= log_upper_bound_layered(shape.k, shape.r, n) + 1e-9
                     ), (parts, n)
 
 
 class TestLogLowerBoundUniform:
     def test_t2_n4(self):
-        assert log_lower_bound_uniform(2, 4).value == pytest.approx(math.log(2))
+        assert log_lower_bound_uniform(2, 4) == pytest.approx(math.log(2))
 
     def test_t2_n2(self):
-        assert log_lower_bound_uniform(2, 2).value == 0.0
+        assert log_lower_bound_uniform(2, 2) == 0.0
 
     def test_t3_n6(self):
-        assert log_lower_bound_uniform(3, 6).value == pytest.approx(2 * math.log(2))
+        assert log_lower_bound_uniform(3, 6) == pytest.approx(2 * math.log(2))
 
     def test_indivisible_rejected(self):
         with pytest.raises(ValueError):
@@ -214,6 +217,6 @@ class TestLogLowerBoundUniform:
                     tau = str(LayeredShape(parts).to_partition())
                     for n in range(t, 13, t):
                         assert (
-                            log_lower_bound_uniform(t, n).value
+                            log_lower_bound_uniform(t, n)
                             <= math.log(cached_count(tau, n)) + 1e-9
                         ), (parts, n)
