@@ -56,6 +56,16 @@ class TestCount:
         assert rows[0]["f_ratio"] is None
         assert rows[1]["f_ratio"] == pytest.approx(0.5)
 
+    def test_json_degenerate_target(self, capsys):
+        rc, out, _ = run(
+            capsys, "count", "--pattern", "1/2", "--n-from", "3", "--n-to", "3",
+            "--no-cache", "--format", "json",
+        )
+        assert rc == 0
+        (row,) = json.loads(out)
+        assert row["tau"] == "1/2" and row["n"] == 3 and row["count"] == "1"
+        assert row["pm"] == 0 and row["pm_target"] is None
+
     def test_workers_capped_at_cpu_count(self, capsys):
         # rejected while the arguments are validated, so no process is started
         limit = os.cpu_count() or 1
