@@ -427,7 +427,8 @@ def _cmd_conjectures(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- bounds
 
 
-def _compositions(k: int):
+def compositions(k: int):
+    """All ordered tuples of positive integers summing to k."""
     for r in range(1, k + 1):
         for cuts in combinations(range(1, k), r - 1):
             bounds = (0,) + cuts + (k,)
@@ -449,7 +450,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         shapes = [
             LayeredShape(c)
             for k in range(2, args.all_k + 1)
-            for c in _compositions(k)
+            for c in compositions(k)
             if len(c) < k
         ]
     else:

@@ -3,12 +3,17 @@
 A host contains a pattern when some subset of the host's elements,
 relabeled by the increasing bijection, reproduces the pattern's block
 structure exactly. Distinct pattern blocks must land in distinct host
-blocks. The matcher backtracks over pattern elements in increasing order,
-so the witness it returns is the lexicographically least one.
+blocks. The matcher assigns pattern elements in increasing order. An
+element whose pattern block is already bound always takes the least
+element of its host block above the image of the element before it,
+which never loses an occurrence, so the search branches only where a
+pattern block opens, once per unused host block, and the witness it
+returns is the lexicographically least one.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -41,8 +46,16 @@ class Occurrence:
 def find_occurrence(host: SetPartition, pattern: SetPartition) -> Occurrence | None:
     """Lexicographically least occurrence of pattern in host, or None.
 
-    Pattern elements are assigned 1..k in order and host candidates are
-    scanned ascending, so the first complete assignment is the least
+    Pattern elements are assigned 1..k in order. The search rests on an
+    exchange lemma: in any occurrence, the image of pattern element j can
+    move down to the least element of its host block that is >= lo, where
+    lo is one more than the image of j - 1; the occurrence stays valid,
+    becomes lexicographically smaller, and only widens the room left for
+    j + 1..k. So an element whose pattern block is already bound takes that
+    least element with no choice, and the search branches only where a
+    pattern block opens: once per unused host block, on its least element
+    >= lo, skipping blocks with too few elements left. Openings are tried
+    in ascending order, so the first complete assignment is the least
     witness under tuple comparison.
 
     >>> find_occurrence(parse("124/35"), parse("1/23")).map
@@ -55,36 +68,47 @@ def find_occurrence(host: SetPartition, pattern: SetPartition) -> Occurrence | N
         return None
     pat_block = [pattern.block_of[j] for j in range(1, k + 1)]
     host_block = host.block_of
-    binding: list[int | None] = [None] * len(pattern.blocks)
-    used = [False] * len(host.blocks)
-    image: list[int] = []
+    host_blocks = host.blocks
+    binding = [-1] * len(pattern.blocks)
+    used = [False] * len(host_blocks)
+    image = [0] * k
 
     def extend(j: int, lo: int) -> bool:
-        if j > k:
+        # image[j] (pattern element j + 1) must be >= lo
+        while j < k:
+            b = pat_block[j]
+            hb = binding[b]
+            if hb < 0:
+                break
+            blk = host_blocks[hb]
+            i = bisect_left(blk, lo)
+            if i == len(blk):
+                return False
+            e = blk[i]
+            image[j] = e
+            lo = e + 1
+            j += 1
+        else:
             return True
-        b = pat_block[j - 1]
-        bound = binding[b]
-        for e in range(lo, n - (k - j) + 1):
+        size = len(pattern.blocks[b])
+        for e in range(lo, n - (k - j) + 2):
             hb = host_block[e]
-            if bound is None:
-                if used[hb]:
-                    continue
-                binding[b] = hb
-                used[hb] = True
-                image.append(e)
-                if extend(j + 1, e + 1):
-                    return True
-                image.pop()
-                used[hb] = False
-                binding[b] = None
-            elif hb == bound:
-                image.append(e)
-                if extend(j + 1, e + 1):
-                    return True
-                image.pop()
+            if used[hb]:
+                continue
+            blk = host_blocks[hb]
+            i = bisect_left(blk, e)
+            if (i and blk[i - 1] >= lo) or len(blk) - i < size:
+                continue
+            binding[b] = hb
+            used[hb] = True
+            image[j] = e
+            if extend(j + 1, e + 1):
+                return True
+            used[hb] = False
+        binding[b] = -1
         return False
 
-    return Occurrence(tuple(image)) if extend(1, 1) else None
+    return Occurrence(tuple(image)) if extend(0, 1) else None
 
 
 def contains(host: SetPartition, pattern: SetPartition) -> bool:

@@ -94,8 +94,12 @@ def _anchored_checker(pattern: SetPartition) -> Callable[[list[list[int]], int],
     The call answers: does the prefix partition held in ``blocks`` contain
     the pattern via an occurrence whose largest image is the element just
     appended to blocks[anchor_idx]? Pattern elements are matched downward
-    from k, so the anchor pins the image of k and the recursion fills the
-    rest below it.
+    from k, so the anchor pins the image of k and the search fills the rest
+    below it. This is ``find_occurrence``'s exchange lemma mirrored: an
+    element whose pattern block is already bound takes the largest element
+    of its host block below the image of the element above it, with no
+    choice, so the search branches only where a pattern block opens, once
+    per unused host block, on that block's largest element below it.
     """
     k = pattern.n
     pat_block = tuple(pattern.block_of[j] for j in range(1, k + 1))
@@ -121,43 +125,32 @@ def _anchored_checker(pattern: SetPartition) -> Callable[[list[list[int]], int],
 
         def descend(j: int, bound: int) -> bool:
             # image of pattern element j must be < bound and >= j
-            if j == 0:
-                return True
-            b = pat_block[j - 1]
-            nb = need_below[j - 1]
-            hb = binding[b]
-            if hb >= 0:
+            while j:
+                b = pat_block[j - 1]
+                hb = binding[b]
+                if hb < 0:
+                    break
                 blk = blocks[hb]
                 idx = bisect_left(blk, bound) - 1
-                while idx >= nb:
-                    e = blk[idx]
-                    if e < j:
-                        break
-                    if descend(j - 1, e):
-                        return True
-                    idx -= 1
-                return False
-            size_needed = pat_sizes[b]
-            for hbi in range(len(blocks)):
-                if used[hbi]:
-                    continue
-                blk = blocks[hbi]
-                if len(blk) < size_needed:
+                if idx < need_below[j - 1] or blk[idx] < j:
+                    return False
+                bound = blk[idx]
+                j -= 1
+            else:
+                return True
+            nb = need_below[j - 1]
+            for hbi, blk in enumerate(blocks):
+                if used[hbi] or len(blk) <= nb:
                     continue
                 idx = bisect_left(blk, bound) - 1
-                if idx < nb:
+                if idx < nb or blk[idx] < j:
                     continue
                 binding[b] = hbi
                 used[hbi] = True
-                while idx >= nb:
-                    e = blk[idx]
-                    if e < j:
-                        break
-                    if descend(j - 1, e):
-                        return True
-                    idx -= 1
-                binding[b] = -1
+                if descend(j - 1, blk[idx]):
+                    return True
                 used[hbi] = False
+            binding[b] = -1
             return False
 
         return descend(k - 1, anchor_blk[-1])

@@ -12,6 +12,7 @@ import itertools
 from functools import lru_cache
 
 from partpat import SetPartition, all_partitions, count_sequence, parse
+from partpat.cli import compositions
 
 _sequences: dict[str, list[int]] = {}
 
@@ -31,14 +32,6 @@ def patterns_of(k: int) -> tuple[SetPartition, ...]:
 @lru_cache(maxsize=None)
 def partitions_up_to(n: int) -> tuple[SetPartition, ...]:
     return tuple(p for m in range(n + 1) for p in all_partitions(m))
-
-
-def compositions(k: int):
-    """All ordered tuples of positive integers summing to k."""
-    for r in range(1, k + 1):
-        for cuts in itertools.combinations(range(1, k), r - 1):
-            bounds = (0,) + cuts + (k,)
-            yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
 
 
 def rgs_key(p: SetPartition, elements=None) -> tuple[int, ...]:
@@ -65,3 +58,14 @@ def brute_contains(host: SetPartition, pattern: SetPartition) -> bool:
         rgs_key(host, subset) == key
         for subset in itertools.combinations(range(1, host.n + 1), k)
     )
+
+
+def least_witnesses(host: SetPartition, k: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """For each pattern of [k] (as its rgs_key) that the host contains, the
+    least k-subset of the host that standardizes to it. Subsets come from
+    itertools.combinations in lexicographic order, so the first one seen
+    for a key is the least; independent of the matcher."""
+    least: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for subset in itertools.combinations(range(1, host.n + 1), k):
+        least.setdefault(rgs_key(host, subset), subset)
+    return least

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -18,7 +19,14 @@ from partpat import (
     standardize,
 )
 
-from conftest import brute_contains, compositions, partitions_up_to, patterns_of, rgs_key
+from conftest import (
+    brute_contains,
+    compositions,
+    least_witnesses,
+    partitions_up_to,
+    patterns_of,
+    rgs_key,
+)
 
 
 class TestContains:
@@ -84,15 +92,35 @@ class TestFindOccurrence:
                     assert standardize(occ.map, host) == pattern
 
     def test_minimality_against_all_witnesses(self):
-        # spot-check the lexicographic claim by enumerating every witness
-        host, pattern = parse("1245/36"), parse("12/3")
-        key = rgs_key(pattern)
-        witnesses = [
-            s
-            for s in itertools.combinations(range(1, host.n + 1), pattern.n)
-            if rgs_key(host, s) == key
-        ]
-        assert find_occurrence(host, pattern).map == min(witnesses)
+        # every host n <= 7, every pattern k <= 4: the witness is the least
+        # matching subset by brute force, and None exactly when none matches
+        patterns = [p for k in range(1, 5) for p in patterns_of(k)]
+        for host in partitions_up_to(7):
+            least = {k: least_witnesses(host, k) for k in range(1, 5)}
+            for pattern in patterns:
+                expected = least[pattern.n].get(rgs_key(pattern))
+                occ = find_occurrence(host, pattern)
+                assert (occ and occ.map) == expected, (str(host), str(pattern))
+
+    def test_minimality_on_seeded_large_hosts(self):
+        # 100 seeded hosts of 12..14 elements, 1..n blocks, against all of [5]
+        rng = random.Random(20161)
+        misses = 0
+        for _ in range(100):
+            n = rng.randint(12, 14)
+            r = rng.randint(1, n)
+            labels = list(range(r)) + [rng.randrange(r) for _ in range(n - r)]
+            rng.shuffle(labels)
+            host = SetPartition.from_blocks(
+                [e for e in range(1, n + 1) if labels[e - 1] == b] for b in range(r)
+            )
+            least = least_witnesses(host, 5)
+            for pattern in patterns_of(5):
+                expected = least.get(rgs_key(pattern))
+                misses += expected is None
+                occ = find_occurrence(host, pattern)
+                assert (occ and occ.map) == expected, (str(host), str(pattern))
+        assert misses > 500
 
 
 class TestOccurrence:
