@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
 from typing import Any, Sequence
@@ -27,6 +26,7 @@ from .core import (
     LayeredShape,
     ParseError,
     SetPartition,
+    _Value,
     format_partition,
     parse,
     permeability,
@@ -39,6 +39,7 @@ from .enumeration import (
     CountCache,
     CountRecord,
     all_partitions,
+    closed_form,
     count_avoiders_oracle,
     count_sequence,
     f_ratio,
@@ -73,43 +74,49 @@ class _UsageError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ScanConfig:
+class ScanConfig(_Value):
     """Validated knobs shared by the scanning subcommands."""
 
-    patterns: tuple[SetPartition, ...]
-    n_from: int
-    n_to: int
-    workers: int = 1
-    oracle_ceiling: int = DEFAULT_ORACLE_CEILING
-    enum_ceiling: int = DEFAULT_ENUM_CEILING
-    use_oracle: bool = False
-    cache_path: Path | None = None
-    fmt: str = "csv"
-    out: Path | None = None
+    __slots__ = _fields = (
+        "patterns", "n_from", "n_to", "workers", "oracle_ceiling", "enum_ceiling",
+        "use_oracle", "cache_path", "fmt", "out",
+    )
 
-    def __post_init__(self) -> None:
-        if self.n_from < 0 or self.n_to < self.n_from:
+    def __init__(
+        self,
+        patterns: tuple[SetPartition, ...],
+        n_from: int,
+        n_to: int,
+        workers: int = 1,
+        oracle_ceiling: int = DEFAULT_ORACLE_CEILING,
+        enum_ceiling: int = DEFAULT_ENUM_CEILING,
+        use_oracle: bool = False,
+        cache_path: Path | None = None,
+        fmt: str = "csv",
+        out: Path | None = None,
+    ) -> None:
+        if n_from < 0 or n_to < n_from:
             raise ValueError("n range is empty or negative")
         # the pool starts all its workers at once, so more than the CPUs only costs memory
         cpus = os.cpu_count() or 1
-        if not 1 <= self.workers <= cpus:
+        if not 1 <= workers <= cpus:
             raise ValueError(f"worker count must be between 1 and {cpus}, the CPU count")
-        if self.oracle_ceiling > 12:
+        if oracle_ceiling > 12:
             raise ValueError("oracle ceiling must be <= 12")
-        if self.fmt not in ("csv", "json"):
-            raise ValueError(f"unknown format {self.fmt!r}")
+        if fmt not in ("csv", "json"):
+            raise ValueError(f"unknown format {fmt!r}")
+        self._assign(
+            patterns, n_from, n_to, workers, oracle_ceiling, enum_ceiling,
+            use_oracle, cache_path, fmt, out,
+        )
 
     def check_ceiling(self) -> None:
-        # count_sequence serves one-block patterns by the closed recursion,
-        # which has no practical depth limit
-        needs_enumeration = any(len(p.blocks) > 1 for p in self.patterns)
         if self.use_oracle:
             if self.n_to > self.oracle_ceiling:
                 raise CeilingError(
                     f"oracle ceiling {self.oracle_ceiling} exceeded by n={self.n_to}"
                 )
-        elif needs_enumeration and self.n_to > self.enum_ceiling:
+        elif self.n_to > self.enum_ceiling and not all(map(closed_form, self.patterns)):
             raise CeilingError(
                 f"enumeration ceiling {self.enum_ceiling} exceeded by n={self.n_to}"
             )
@@ -118,24 +125,27 @@ class ScanConfig:
         return range(self.n_from, self.n_to + 1)
 
 
-@dataclass(frozen=True)
-class ConjectureVerdict:
+class ConjectureVerdict(_Value):
     """Outcome of one conjecture probe for one pattern (or the whole family).
 
     ``fail`` always carries a concrete counterexample; asymptotic probes
     only ever report a consistent or inconsistent trend, never a pass.
     """
 
-    conjecture: str
-    tau: str | None
-    status: str
-    summary: str
-    rows: tuple[dict[str, Any], ...] = field(default=())
-    counterexample: dict[str, Any] | None = None
+    __slots__ = _fields = ("conjecture", "tau", "status", "summary", "rows", "counterexample")
 
-    def __post_init__(self) -> None:
-        if self.status == "fail" and self.counterexample is None:
+    def __init__(
+        self,
+        conjecture: str,
+        tau: str | None,
+        status: str,
+        summary: str,
+        rows: tuple[dict[str, Any], ...] = (),
+        counterexample: dict[str, Any] | None = None,
+    ) -> None:
+        if status == "fail" and counterexample is None:
             raise AssertionError("fail verdict requires a counterexample")
+        self._assign(conjecture, tau, status, summary, rows, counterexample)
 
     def line(self) -> str:
         scope = f" tau={self.tau}" if self.tau else ""

@@ -14,10 +14,9 @@ returns is the lexicographically least one.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Sequence
 
-from .core import LayeredShape, SetPartition, parse
+from .core import LayeredShape, SetPartition, _increasing_ints, _Value, parse
 
 __all__ = [
     "EmbeddingError",
@@ -30,16 +29,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Occurrence:
+class Occurrence(_Value):
     """Increasing injection sending pattern element j to host element map[j-1]."""
 
+    __slots__ = _fields = ("map",)
     map: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        mapped = tuple(int(e) for e in self.map)
-        if any(a >= b for a, b in zip(mapped, mapped[1:])):
-            raise ValueError("occurrence map must be strictly increasing")
+    def __init__(self, map: Sequence[int]) -> None:
+        mapped = _increasing_ints(map, "occurrence map must be strictly increasing")
         object.__setattr__(self, "map", mapped)
 
 

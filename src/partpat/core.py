@@ -13,9 +13,8 @@ comma-separated ("1,10,12/2,3"). ``parse`` accepts both forms.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable
+from operator import lt
+from typing import Any, Iterable
 
 __all__ = [
     "IntervalCut",
@@ -41,8 +40,60 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class SetPartition:
+class _Value:
+    """Base of partpat's immutable value types.
+
+    A subclass names its fields, in constructor order, in ``_fields``,
+    keeps them in ``__slots__`` and sets them once, at the end of its
+    ``__init__``, through ``_assign`` (or ``object.__setattr__``, which
+    saves the method call, in the constructors that run once per query).
+    Values are equal only when they have the same class and equal fields;
+    the hash is that of the field tuple, the repr is
+    ``Name(field=value, ...)``, assignment raises AttributeError, and
+    pickling or copying rebuilds through the constructor, checks included.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _assign(self, *values: Any) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple[Any, ...]:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple[type, tuple[Any, ...]]:
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _increasing_ints(values: Iterable[int], message: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ints; ValueError(message) unless strictly increasing."""
+    out = tuple(map(int, values))
+    if not all(map(lt, out, out[1:])):
+        raise ValueError(message)
+    return out
+
+
+class SetPartition(_Value):
     """A partition of {1, ..., n} into disjoint nonempty blocks.
 
     The constructor canonicalizes and validates: blocks are re-sorted, and
@@ -50,47 +101,65 @@ class SetPartition:
     no blocks) is a valid value.
     """
 
+    __slots__ = ("n", "blocks", "block_of")
+    _fields = ("n", "blocks")
     n: int
     blocks: tuple[tuple[int, ...], ...]
+    block_of: dict[int, int]  # element -> index of its block, built on first use
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
+    def __init__(self, n: int, blocks: Iterable[Iterable[int]]) -> None:
+        if n < 0:
             raise ValueError("ground size must be nonnegative")
-        seen: set[int] = set()
-        canon: list[tuple[int, ...]] = []
-        for block in self.blocks:
-            ordered = tuple(sorted(block))
-            if not ordered:
-                raise ValueError("empty block")
-            for e in ordered:
-                if not isinstance(e, int) or e < 1:
-                    raise ValueError(f"element {e!r} is not a positive integer")
-                if e in seen:
-                    raise ValueError(f"duplicate element {e}")
-                seen.add(e)
-            canon.append(ordered)
-        if seen and max(seen) > self.n:
-            raise ValueError(f"element {max(seen)} exceeds ground size {self.n}")
-        if len(seen) != self.n:
-            missing = next(e for e in range(1, self.n + 1) if e not in seen)
-            raise ValueError(f"missing element {missing}")
-        canon.sort(key=lambda b: b[0])
+        canon = list(map(tuple, map(sorted, blocks)))
+        flat = list(itertools.chain.from_iterable(canon))
+        if not (
+            len(flat) == n
+            and all(canon)
+            and all(map(isinstance, flat, itertools.repeat(int)))
+            and sorted(flat) == list(range(1, len(flat) + 1))
+        ):
+            raise _partition_fault(n, canon)
+        # the blocks are disjoint, so tuple order is order by least element
+        canon.sort()
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "blocks", tuple(canon))
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]]) -> "SetPartition":
         """Build from any iterable of blocks, inferring n from the largest element."""
-        mat = tuple(tuple(b) for b in blocks)
-        n = max((e for b in mat for e in b), default=0)
-        return cls(n, mat)
+        mat = list(map(tuple, blocks))
+        return cls(max(itertools.chain.from_iterable(mat), default=0), mat)
 
-    @cached_property
-    def block_of(self) -> dict[int, int]:
-        """Element -> index of its block in canonical order."""
-        return {e: i for i, b in enumerate(self.blocks) for e in b}
+    def __getattr__(self, name: str) -> dict[int, int]:
+        # Called only when normal lookup fails, as it does for block_of until
+        # its slot is set: the map is built on first use and read as a plain
+        # slot from then on.
+        if name != "block_of":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        block_of = {e: i for i, b in enumerate(self.blocks) for e in b}
+        object.__setattr__(self, "block_of", block_of)
+        return block_of
 
     def __str__(self) -> str:
         return format_partition(self)
+
+
+def _partition_fault(n: int, canon: list[tuple[int, ...]]) -> ValueError:
+    """The first fault, in block order, of blocks that do not partition [n]."""
+    seen: set[int] = set()
+    for ordered in canon:
+        if not ordered:
+            return ValueError("empty block")
+        for e in ordered:
+            if not isinstance(e, int) or e < 1:
+                return ValueError(f"element {e!r} is not a positive integer")
+            if e in seen:
+                return ValueError(f"duplicate element {e}")
+            seen.add(e)
+    if seen and max(seen) > n:
+        return ValueError(f"element {max(seen)} exceeds ground size {n}")
+    missing = next(e for e in range(1, n + 1) if e not in seen)
+    return ValueError(f"missing element {missing}")
 
 
 def parse(text: str) -> SetPartition:
@@ -143,7 +212,7 @@ def parse(text: str) -> SetPartition:
     for e in range(1, n + 1):
         if e not in positions:
             raise ParseError(f"missing element {e}", len(text))
-    return SetPartition(n, tuple(tuple(b) for b in blocks))
+    return SetPartition(n, blocks)
 
 
 def _note_element(value: int, position: int, positions: dict[int, int]) -> None:
@@ -180,21 +249,21 @@ def standardize(elements: Iterable[int], host: SetPartition) -> SetPartition:
     grouped: dict[int, list[int]] = {}
     for rank, e in enumerate(chosen, start=1):
         grouped.setdefault(host.block_of[e], []).append(rank)
-    return SetPartition(len(chosen), tuple(tuple(g) for g in grouped.values()))
+    return SetPartition(len(chosen), grouped.values())
 
 
-@dataclass(frozen=True)
-class LayeredShape:
+class LayeredShape(_Value):
     """Block sizes (a_1, ..., a_r) of a layered partition: the smallest a_1
     elements form one block, the next a_2 the second, and so on."""
 
+    __slots__ = _fields = ("parts",)
     parts: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        parts = tuple(int(a) for a in self.parts)
-        if any(a < 1 for a in parts):
+    def __init__(self, parts: Iterable[int]) -> None:
+        parts = tuple(map(int, parts))
+        if parts and min(parts) < 1:
             raise ValueError("layer sizes must be positive")
-        object.__setattr__(self, "parts", parts)
+        self._assign(parts)
 
     @property
     def k(self) -> int:
@@ -260,17 +329,18 @@ def sba(p: SetPartition) -> int:
     return sum(1 for i in range(1, p.n) if bo[i] == bo[i + 1])
 
 
-@dataclass(frozen=True)
-class IntervalCut:
+class IntervalCut(_Value):
     """Cut positions in 1..n-1; cutting after each yields len(cuts)+1 intervals."""
 
+    __slots__ = _fields = ("cuts",)
     cuts: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        cuts = tuple(int(c) for c in self.cuts)
-        if any(c < 1 for c in cuts) or any(a >= b for a, b in zip(cuts, cuts[1:])):
-            raise ValueError("cuts must be strictly increasing positive positions")
-        object.__setattr__(self, "cuts", cuts)
+    def __init__(self, cuts: Iterable[int]) -> None:
+        message = "cuts must be strictly increasing positive positions"
+        cuts = _increasing_ints(cuts, message)
+        if cuts and cuts[0] < 1:
+            raise ValueError(message)
+        self._assign(cuts)
 
     def intervals(self, n: int) -> list[tuple[int, int]]:
         """The induced intervals of [n] as inclusive (lo, hi) pairs."""

@@ -13,10 +13,9 @@ partition).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterable
 
-from .core import SetPartition
+from .core import SetPartition, _Value
 
 __all__ = [
     "Dacp",
@@ -34,19 +33,17 @@ class DacpError(ValueError):
     """The graph violates an invariant; the message names which one."""
 
 
-@dataclass(frozen=True)
-class Dacp:
+class Dacp(_Value):
     """Digraph container with 1-based vertices; labels matter only up to
     isomorphism for the operations below. May hold an invalid graph until
     ``validate_dacp`` has accepted it."""
 
+    __slots__ = _fields = ("n", "edges")
     n: int
     edges: frozenset[tuple[int, int]]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "edges", frozenset((int(a), int(b)) for a, b in self.edges)
-        )
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]]) -> None:
+        self._assign(n, frozenset((int(a), int(b)) for a, b in edges))
 
 
 def to_dacp(p: SetPartition) -> Dacp:
@@ -62,13 +59,9 @@ def to_dacp(p: SetPartition) -> Dacp:
     return Dacp(p.n, edges)
 
 
-def _complement_components(g: Dacp) -> list[list[int]]:
-    """Connected components of the non-adjacency graph, each sorted."""
-    adjacent: dict[int, set[int]] = {v: set() for v in range(1, g.n + 1)}
-    for a, b in g.edges:
-        adjacent[a].add(b)
-        adjacent[b].add(a)
-    unseen = set(range(1, g.n + 1))
+def _complement_components(n: int, adjacent: dict[int, set[int]]) -> list[list[int]]:
+    """Connected components of the non-adjacency graph on 1..n, each sorted."""
+    unseen = set(range(1, n + 1))
     components: list[list[int]] = []
     while unseen:
         start = min(unseen)
@@ -86,8 +79,12 @@ def _complement_components(g: Dacp) -> list[list[int]]:
     return components
 
 
-def validate_dacp(g: Dacp) -> None:
-    """Check every invariant, raising DacpError naming the first violation."""
+def validate_dacp(g: Dacp) -> list[list[int]]:
+    """Check every invariant, raising DacpError naming the first violation.
+
+    Returns the components of the complement graph, each sorted: the
+    blocks, in the graph's own labels.
+    """
     if g.n < 0:
         raise DacpError("negative vertex count")
     for a, b in g.edges:
@@ -101,7 +98,8 @@ def validate_dacp(g: Dacp) -> None:
     for a, b in g.edges:
         adjacent[a].add(b)
         adjacent[b].add(a)
-    for comp in _complement_components(g):
+    components = _complement_components(g.n, adjacent)
+    for comp in components:
         for i, u in enumerate(comp):
             for v in comp[i + 1 :]:
                 if v in adjacent[u]:
@@ -109,6 +107,7 @@ def validate_dacp(g: Dacp) -> None:
                         "complement is not a disjoint union of cliques "
                         f"(vertices {u} and {v})"
                     )
+    return components
 
 
 def _has_cycle(g: Dacp) -> bool:
@@ -141,7 +140,7 @@ def from_dacp(g: Dacp) -> SetPartition:
     a graph that passed ``validate_dacp`` but is reported distinctly if a
     caller bypasses validation.
     """
-    validate_dacp(g)
+    components = validate_dacp(g)
     if g.n == 0:
         return SetPartition(0, ())
     pointing_at: dict[int, list[int]] = {v: [] for v in range(1, g.n + 1)}
@@ -159,10 +158,7 @@ def from_dacp(g: Dacp) -> SetPartition:
             outdeg[a] -= 1
             if outdeg[a] == 0:
                 heapq.heappush(heap, a)
-    blocks = tuple(
-        tuple(sorted(rank[v] for v in comp)) for comp in _complement_components(g)
-    )
-    partition = SetPartition(g.n, blocks)
+    partition = SetPartition(g.n, [[rank[v] for v in comp] for comp in components])
     image = {(rank[a], rank[b]) for a, b in g.edges}
     if image != to_dacp(partition).edges:
         raise DacpError("inconsistent edges between equivalence classes")

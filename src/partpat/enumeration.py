@@ -4,9 +4,10 @@
 avoider counts, and ``count_avoiders(tau, n)`` is its entry n. It picks
 the first exact method that applies:
 
-- The block recursion. The partitions avoiding the one-block pattern of
-  [k], k >= 2, are those whose blocks hold at most k - 1 elements, which
-  ``formulas.block_recursion`` counts in closed form at any depth.
+- Closed form. The partitions avoiding the one-block pattern of [k],
+  k >= 2, are those whose blocks hold at most k - 1 elements, which
+  ``formulas.block_recursion`` counts at any depth; only the empty
+  partition avoids the pattern 1.
 - A forward transfer DP. Every partition of [m] is an extension of one
   of [m - 1] by element m, and the avoiders of [n] extending an avoiding
   prefix depend only on the set of partial occurrences of tau it holds,
@@ -38,12 +39,11 @@ import math
 import sys
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import permutations, product
 from pathlib import Path
 from typing import Callable, Iterator
 
-from .core import SetPartition, format_partition, parse, sba
+from .core import SetPartition, _Value, format_partition, parse, sba
 from .formulas import block_recursion
 
 __all__ = [
@@ -52,6 +52,7 @@ __all__ = [
     "CountRecord",
     "DEFAULT_ORACLE_CEILING",
     "all_partitions",
+    "closed_form",
     "count_avoiders",
     "count_avoiders_oracle",
     "count_sequence",
@@ -79,13 +80,13 @@ class CeilingError(RuntimeError):
     """A configured resource ceiling would be exceeded."""
 
 
-@dataclass(frozen=True)
-class CountRecord:
+class CountRecord(_Value):
     """Exact avoider count: tau is the canonical pattern string."""
 
-    tau: str
-    n: int
-    count: int
+    __slots__ = _fields = ("tau", "n", "count")
+
+    def __init__(self, tau: str, n: int, count: int) -> None:
+        self._assign(tau, n, count)
 
 
 def _anchored_checker(pattern: SetPartition) -> Callable[[list[list[int]], int], bool]:
@@ -395,20 +396,30 @@ def _validate_args(tau: SetPartition, n: int) -> None:
         raise ValueError("n must be nonnegative")
 
 
+def closed_form(tau: SetPartition) -> bool:
+    """True when ``count_sequence`` counts tau in closed form, at any depth:
+    tau is a one-block pattern. Every other pattern is enumerated."""
+    return len(tau.blocks) == 1
+
+
 def count_sequence(tau: SetPartition, n_max: int, *, workers: int = 1) -> list[int]:
     """Exact avoider counts [A_0, A_1, ..., A_n_max] of tau.
 
-    A one-block pattern of [k], k >= 2, is counted by the block recursion.
-    Any other pattern goes to the transfer DP first. If a layer outgrows
-    the DP's state cap, the pattern does not compress enough to count in
-    bounded memory and the whole sequence is counted by one pruned walk
-    instead, split over ``workers`` processes when ``workers > 1``. All
-    methods give the same exact integers; ``workers`` affects only the walk.
+    A one-block pattern of [k] is counted in closed form: by the block
+    recursion for k >= 2, and for k = 1 as 1, 0, 0, ..., since every
+    nonempty partition contains the pattern 1. Any other pattern goes to
+    the transfer DP first. If a layer outgrows the DP's state cap, the
+    pattern does not compress enough to count in bounded memory and the
+    whole sequence is counted by one pruned walk instead, split over
+    ``workers`` processes when ``workers > 1``. All methods give the same
+    exact integers; ``workers`` affects only the walk.
     """
     _validate_args(tau, n_max)
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if len(tau.blocks) == 1 and tau.n >= 2:
+    if closed_form(tau):
+        if tau.n == 1:
+            return [1] + [0] * n_max
         return block_recursion(tau.n, max(n_max, 1))[: n_max + 1]
     seq = [1, *_dp_layers(tau, n_max, _DP_MAX_STATES)]
     if len(seq) <= n_max:
@@ -433,7 +444,7 @@ def _rgs(n: int, check: Callable[[list[list[int]], int], bool] | None) -> Iterat
 
     def rec(i: int) -> Iterator[SetPartition]:
         if i > n:
-            yield SetPartition(n, tuple(tuple(b) for b in blocks))
+            yield SetPartition(n, blocks)
             return
         for bi in range(len(blocks)):
             blocks[bi].append(i)
@@ -511,7 +522,7 @@ def uniform_partitions(n: int, t: int) -> Iterator[SetPartition]:
             [i] + [j * b + m[i - 1] for j, m in enumerate(matchings, start=1)]
             for i in range(1, b + 1)
         ]
-        yield SetPartition(n, tuple(tuple(blk) for blk in blocks))
+        yield SetPartition(n, blocks)
 
 
 def uniform_count(n: int, t: int) -> int:
@@ -552,7 +563,8 @@ class CountCache:
         self.path = Path(path)
         self._table: dict[tuple[str, int], int] = {}
         self._cut: int | None = None
-        if not self.path.exists():
+        self._dir_made = self.path.exists()
+        if not self._dir_made:
             return
         lines = self.path.read_bytes().split(b"\n")
         last = max((i for i, line in enumerate(lines) if line.strip()), default=-1)
@@ -593,7 +605,9 @@ class CountCache:
             with self.path.open("r+b") as fh:
                 fh.truncate(self._cut)
             self._cut = None
-        self.path.parent.mkdir(parents=True, exist_ok=True)
+        if not self._dir_made:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._dir_made = True
         with self.path.open("a", encoding="utf-8") as fh:
             fh.write(
                 json.dumps({"tau": record.tau, "n": record.n, "count": str(record.count)})

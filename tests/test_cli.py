@@ -99,14 +99,15 @@ class TestCount:
         )
         assert rc == 3 and "ceiling" in err
 
-    def test_one_block_pattern_not_ceilinged(self, capsys):
-        # the closed recursion serves one-block patterns at any depth
+    @pytest.mark.parametrize(("pattern", "exceeds"), [("123", 10**50), ("1", -1)], ids=["123", "1"])
+    def test_one_block_pattern_not_ceilinged(self, capsys, pattern, exceeds):
+        # a closed form serves one-block patterns at any depth
         rc, out, _ = run(
-            capsys, "count", "--pattern", "123", "--n-from", "99", "--n-to", "100", "--no-cache"
+            capsys, "count", "--pattern", pattern, "--n-from", "99", "--n-to", "100", "--no-cache"
         )
         assert rc == 0
         rows = out.strip().splitlines()[1:]
-        assert len(rows) == 2 and int(rows[1].split(",")[2]) > 10**50
+        assert len(rows) == 2 and int(rows[1].split(",")[2]) > exceeds
 
     def test_oracle_ceiling(self, capsys):
         rc, _, err = run(
@@ -402,11 +403,13 @@ class TestUniformCommand:
         assert rc == 1
 
 
-def test_cli_import_leaves_the_process_pool_unloaded():
-    # the pool serves only the walk fallback, so start-up does not pay for it
+@pytest.mark.parametrize("module", ["concurrent.futures.process", "dataclasses", "inspect"])
+def test_cli_import_leaves_the_process_pool_unloaded(module):
+    # start-up does not pay for the pool, which serves only the walk
+    # fallback, or for the dataclass machinery and the inspect module it loads
     import subprocess
     import sys
 
-    code = "import sys, partpat.cli; print('concurrent.futures.process' in sys.modules)"
+    code = f"import sys, partpat.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"

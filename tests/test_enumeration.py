@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from pathlib import Path
 
 import pytest
 
@@ -132,6 +133,7 @@ class TestCountSequence:
         monkeypatch.setattr(enumeration, "_dp_layers", no_dp)
         assert count_sequence(parse("1234"), 30) == block_recursion(4, 30)
         assert count_sequence(parse("12"), 0) == [1]
+        assert count_sequence(parse("1"), 5) == [1, 0, 0, 0, 0, 0]
         assert count_avoiders(parse("123"), 200).count == block_recursion(3, 200)[200]
 
     def test_noncrossing_partitions_are_catalan(self):
@@ -427,6 +429,17 @@ class TestCountCache:
         path.write_text('{"tau": "12", "n": 3}\n{"tau": "12", "n": 4, "count": "1"}\n')
         with pytest.raises(ValueError, match="line 1"):
             CountCache(path)
+
+    def test_directory_made_once_per_cache(self, tmp_path, monkeypatch):
+        path = tmp_path / "nested" / "dir" / "cache.jsonl"
+        cache = CountCache(path)
+        cache.add(CountRecord("12", 1, 1))
+        made = []
+        monkeypatch.setattr(Path, "mkdir", lambda self, *args, **kwargs: made.append(self))
+        cache.add(CountRecord("12", 2, 1))
+        cache.add(CountRecord("12", 3, 1))
+        assert made == []
+        assert len(path.read_text().splitlines()) == 3
 
     def test_add_is_idempotent(self, tmp_path):
         path = tmp_path / "cache.jsonl"
