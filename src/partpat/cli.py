@@ -78,7 +78,7 @@ class ScanConfig(_Value):
     """Validated knobs shared by the scanning subcommands."""
 
     __slots__ = _fields = (
-        "patterns", "n_from", "n_to", "workers", "oracle_ceiling", "enum_ceiling",
+        "patterns", "n_from", "n_to", "oracle_ceiling", "enum_ceiling",
         "use_oracle", "cache_path", "fmt", "out",
     )
 
@@ -87,7 +87,6 @@ class ScanConfig(_Value):
         patterns: tuple[SetPartition, ...],
         n_from: int,
         n_to: int,
-        workers: int = 1,
         oracle_ceiling: int = DEFAULT_ORACLE_CEILING,
         enum_ceiling: int = DEFAULT_ENUM_CEILING,
         use_oracle: bool = False,
@@ -97,16 +96,12 @@ class ScanConfig(_Value):
     ) -> None:
         if n_from < 0 or n_to < n_from:
             raise ValueError("n range is empty or negative")
-        # the pool starts all its workers at once, so more than the CPUs only costs memory
-        cpus = os.cpu_count() or 1
-        if not 1 <= workers <= cpus:
-            raise ValueError(f"worker count must be between 1 and {cpus}, the CPU count")
         if oracle_ceiling > 12:
             raise ValueError("oracle ceiling must be <= 12")
         if fmt not in ("csv", "json"):
             raise ValueError(f"unknown format {fmt!r}")
         self._assign(
-            patterns, n_from, n_to, workers, oracle_ceiling, enum_ceiling,
+            patterns, n_from, n_to, oracle_ceiling, enum_ceiling,
             use_oracle, cache_path, fmt, out,
         )
 
@@ -181,7 +176,7 @@ def _counter(config: ScanConfig):
         else:
             seq = sequences.get(text)
             if seq is None or len(seq) <= n:
-                seq = count_sequence(tau, max(n, config.n_to), workers=config.workers)
+                seq = count_sequence(tau, max(n, config.n_to))
                 sequences[text] = seq
             record = CountRecord(text, n, seq[n])
         if cache is not None:
@@ -213,6 +208,13 @@ def _scan_rows(tau: SetPartition, records: Sequence[CountRecord]) -> list[dict[s
     return rows
 
 
+def _write_report(text: str, config: ScanConfig) -> None:
+    if config.out is not None:
+        config.out.write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+
+
 def _emit_rows(rows: list[dict[str, Any]], columns: Sequence[str], config: ScanConfig) -> None:
     if config.fmt == "csv":
         buf = io.StringIO()
@@ -223,10 +225,7 @@ def _emit_rows(rows: list[dict[str, Any]], columns: Sequence[str], config: ScanC
         text = buf.getvalue()
     else:
         text = json.dumps(rows, indent=2) + "\n"
-    if config.out is not None:
-        config.out.write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write_report(text, config)
 
 
 def _emit_document(doc: Any, text_lines: list[str], config: ScanConfig, columns: Sequence[str], rows: list[dict[str, Any]]) -> None:
@@ -234,11 +233,7 @@ def _emit_document(doc: Any, text_lines: list[str], config: ScanConfig, columns:
     for line in text_lines:
         print(line, file=sys.stderr)
     if config.fmt == "json":
-        text = json.dumps(doc, indent=2) + "\n"
-        if config.out is not None:
-            config.out.write_text(text, encoding="utf-8")
-        else:
-            sys.stdout.write(text)
+        _write_report(json.dumps(doc, indent=2) + "\n", config)
     else:
         _emit_rows(rows, columns, config)
 
@@ -607,11 +602,14 @@ def _scan_config(args: argparse.Namespace, patterns: tuple[SetPartition, ...]) -
     else:
         env = os.environ.get(CACHE_ENV_VAR)
         cache_path = Path(env) if env else None
+    # --workers has no effect but keeps its range check, so every command line exits as before
+    cpus = os.cpu_count() or 1
+    if not 1 <= getattr(args, "workers", 1) <= cpus:
+        raise ValueError(f"worker count must be between 1 and {cpus}, the CPU count")
     return ScanConfig(
         patterns=patterns,
         n_from=args.n_from,
         n_to=args.n_to,
-        workers=getattr(args, "workers", 1),
         oracle_ceiling=getattr(args, "oracle_ceiling", DEFAULT_ORACLE_CEILING),
         enum_ceiling=getattr(args, "enum_ceiling", DEFAULT_ENUM_CEILING),
         use_oracle=getattr(args, "oracle", False),
@@ -629,7 +627,10 @@ class _Parser(argparse.ArgumentParser):
 def _add_scan_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--n-from", type=int, required=True)
     sub.add_argument("--n-to", type=int, required=True)
-    sub.add_argument("--workers", type=int, default=1)
+    sub.add_argument(
+        "--workers", type=int, default=1,
+        help="no effect: counting runs in one process (must lie between 1 and the CPU count)",
+    )
     sub.add_argument("--cache", help=f"cache file path (default ${CACHE_ENV_VAR})")
     sub.add_argument("--no-cache", action="store_true", help="disable the count cache")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -105,7 +105,9 @@ def find_occurrence(host: SetPartition, pattern: SetPartition) -> Occurrence | N
         binding[b] = -1
         return False
 
-    return Occurrence(tuple(image)) if extend(0, 1) else None
+    found = extend(0, 1)
+    del extend  # it refers to itself through its cell: break the cycle
+    return Occurrence(tuple(image)) if found else None
 
 
 def contains(host: SetPartition, pattern: SetPartition) -> bool:

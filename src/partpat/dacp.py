@@ -205,7 +205,9 @@ def dacp_contains(host: Dacp, pattern: Dacp) -> bool:
                 used[v] = False
         return False
 
-    return place(1)
+    found = place(1)
+    del place  # it refers to itself through its cell: break the cycle
+    return found
 
 
 def dacp_to_obj(g: Dacp) -> dict[str, Any]:

@@ -1,33 +1,35 @@
 """Exact enumeration of pattern-avoiding set partitions.
 
 ``count_sequence(tau, n_max)`` returns the whole sequence A_0..A_n_max of
-avoider counts, and ``count_avoiders(tau, n)`` is its entry n. It picks
-the first exact method that applies:
+avoider counts, and ``count_avoiders(tau, n)`` is its entry n. It counts
+by one of two exact methods:
 
 - Closed form. The partitions avoiding the one-block pattern of [k],
   k >= 2, are those whose blocks hold at most k - 1 elements, which
   ``formulas.block_recursion`` counts at any depth; only the empty
   partition avoids the pattern 1.
-- A forward transfer DP. Every partition of [m] is an extension of one
-  of [m - 1] by element m, and the avoiders of [n] extending an avoiding
-  prefix depend only on the set of partial occurrences of tau it holds,
-  each reduced to a signature: how much of tau is matched and which host
-  blocks the pattern blocks met so far occupy. The DP carries one count
-  per distinct set of signatures (merged and relabelled so that prefixes
-  with the same future share a state) from layer to layer.
-- A pruned walk of the restricted-growth-string tree: element i either
-  joins an existing block or opens a new one, so every partition of [n]
-  is generated exactly once and the prefix of depth m is the restriction
-  to [m]. A prefix whose restriction already contains the pattern is
-  pruned. Because an occurrence created by appending element m must use m
-  as its largest image, each node runs one anchored matcher call instead
-  of a full containment search. The walk tallies the avoiders at every
-  depth.
+- A forward transfer DP, for every other pattern. Every partition of [m]
+  is an extension of one of [m - 1] by element m, and the avoiders of [n]
+  extending an avoiding prefix depend only on the set of partial
+  occurrences of tau it holds, each reduced to a signature: how much of
+  tau is matched and which host blocks the pattern blocks met so far
+  occupy. The DP carries one count per distinct set of signatures (merged
+  and relabelled so that prefixes with the same future share a state)
+  from layer to layer.
 
-Every other pattern goes to the DP, which is fast, but its memory grows
-with the number of states; when a layer outgrows a fixed cap (see
-``count_sequence``), the walk, whose memory grows only with n, counts the
-whole sequence instead. ``workers`` parallelizes the walk only.
+The DP is fast, but its memory grows with the number of states, so a
+layer that outgrows a fixed cap (see ``count_sequence``) raises
+``CeilingError`` instead of counting in unbounded memory.
+
+A pruned walk of the restricted-growth-string tree, ``_walk_sequence``,
+counts the same sequence independently, and the tests check the DP
+against it. Element i either joins an existing block or opens a new one,
+so every partition of [n] is generated exactly once and the prefix of
+depth m is the restriction to [m]. A prefix whose restriction already
+contains the pattern is pruned. Because an occurrence created by
+appending element m must use m as its largest image, each node runs one
+anchored matcher call instead of a full containment search.
+``enumerate_avoiders`` lists the avoiders by the same pruned walk.
 
 Counts are exact Python integers throughout; no tally ever rounds.
 """
@@ -43,7 +45,7 @@ from itertools import permutations, product
 from pathlib import Path
 from typing import Callable, Iterator
 
-from .core import SetPartition, _Value, format_partition, parse, sba
+from .core import SetPartition, _Value, format_partition, sba
 from .formulas import block_recursion
 
 __all__ = [
@@ -65,15 +67,12 @@ __all__ = [
 
 DEFAULT_ORACLE_CEILING = 10
 
-# Workers own disjoint RGS prefixes of this depth; aggregation is addition,
-# so the parallel count is order-independent.
-_SPLIT_DEPTH = 6
-
-# count_sequence leaves the transfer DP for the walk once a layer holds
-# more than _DP_MAX_STATES states. A state of a pattern of [5] takes about
-# 2.3 KB and two layers are live at once, so this bounds the DP near 250 MB;
-# the walk's memory grows only with n.
-_DP_MAX_STATES = 50_000
+# count_sequence refuses a pattern once a layer of its transfer DP holds
+# more than _DP_MAX_STATES states. Two layers are live at once; at this cap
+# 15/234 at n = 16 is refused in layer 13 at a peak RSS of about 700 MB,
+# while every multi-block pattern of [5] and [6] stays under 14,000 states
+# up to the default enumeration ceiling n = 13.
+_DP_MAX_STATES = 200_000
 
 
 class CeilingError(RuntimeError):
@@ -154,7 +153,9 @@ def _anchored_checker(pattern: SetPartition) -> Callable[[list[list[int]], int],
             binding[b] = -1
             return False
 
-        return descend(k - 1, anchor_blk[-1])
+        found = descend(k - 1, anchor_blk[-1])
+        del descend  # it refers to itself through its cell: break the cycle
+        return found
 
     return check
 
@@ -185,35 +186,15 @@ def _walk(
     tally[start] += children
 
 
-def _walk_sequence(tau: SetPartition, n_max: int, workers: int = 1) -> list[int]:
+def _walk_sequence(tau: SetPartition, n_max: int) -> list[int]:
     """A_0..A_n_max from one pruned walk of the RGS tree, tallied by depth.
 
-    With ``workers > 1`` the avoiding prefixes of depth 6 are walked on by a
-    process pool and the per-worker tallies are summed depth by depth.
+    It shares no state logic with the transfer DP, so the tests use it as
+    the independent reference for ``count_sequence``.
     """
-    check = _anchored_checker(tau)
     tally = [1] + [0] * n_max
-    if workers == 1 or n_max <= _SPLIT_DEPTH:
-        if n_max:
-            _walk(check, n_max, [], 1, tally)
-        return tally
-    from concurrent.futures import ProcessPoolExecutor
-
-    _walk(check, _SPLIT_DEPTH, [], 1, tally)
-    tau_text = format_partition(tau)
-    tasks = [(tau_text, n_max, p.blocks) for p in enumerate_avoiders(tau, _SPLIT_DEPTH)]
-    chunk = max(1, len(tasks) // (4 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_walk_task, tasks, chunksize=chunk):
-            for m in range(_SPLIT_DEPTH + 1, n_max + 1):
-                tally[m] += part[m]
-    return tally
-
-
-def _walk_task(args: tuple[str, int, tuple[tuple[int, ...], ...]]) -> list[int]:
-    tau_text, n_max, prefix = args
-    tally = [0] * (n_max + 1)
-    _walk(_anchored_checker(parse(tau_text)), n_max, [list(b) for b in prefix], _SPLIT_DEPTH + 1, tally)
+    if n_max:
+        _walk(_anchored_checker(tau), n_max, [], 1, tally)
     return tally
 
 
@@ -283,7 +264,7 @@ def _merge_exclusions(excls: list[frozenset[int]], free: int) -> list[frozenset[
 
 def _dp_layers(tau: SetPartition, n_max: int, max_states: float = math.inf) -> Iterator[int]:
     """Forward transfer DP over signature-set states: yields A_m for
-    m = 1..n_max, and stops early once a layer holds more than
+    m = 1..n_max, and raises ``CeilingError`` once a layer holds more than
     ``max_states`` states.
 
     A state is (unnamed live blocks, named blocks, signature set), with the
@@ -384,7 +365,10 @@ def _dp_layers(tau: SetPartition, n_max: int, max_states: float = math.inf) -> I
                         nxt[live - dead - r, r, canon] += mult * unnamed
                     nxt[live + 1 - dead - r, r, canon] += mult
             if len(nxt) > max_states:
-                return
+                raise CeilingError(
+                    f"DP state cap {max_states} exceeded by {format_partition(tau)}"
+                    f" at layer m={m} (n={n_max})"
+                )
         layer = nxt
         yield sum(layer.values())
 
@@ -402,75 +386,66 @@ def closed_form(tau: SetPartition) -> bool:
     return len(tau.blocks) == 1
 
 
-def count_sequence(tau: SetPartition, n_max: int, *, workers: int = 1) -> list[int]:
+def count_sequence(tau: SetPartition, n_max: int) -> list[int]:
     """Exact avoider counts [A_0, A_1, ..., A_n_max] of tau.
 
     A one-block pattern of [k] is counted in closed form: by the block
     recursion for k >= 2, and for k = 1 as 1, 0, 0, ..., since every
-    nonempty partition contains the pattern 1. Any other pattern goes to
-    the transfer DP first. If a layer outgrows the DP's state cap, the
-    pattern does not compress enough to count in bounded memory and the
-    whole sequence is counted by one pruned walk instead, split over
-    ``workers`` processes when ``workers > 1``. All methods give the same
-    exact integers; ``workers`` affects only the walk.
+    nonempty partition contains the pattern 1. Any other pattern is counted
+    by the transfer DP. A pattern that does not compress enough to count in
+    bounded memory, one whose DP layer outgrows ``_DP_MAX_STATES`` (200,000)
+    states, raises ``CeilingError`` naming the pattern, the layer and the cap.
     """
     _validate_args(tau, n_max)
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     if closed_form(tau):
         if tau.n == 1:
             return [1] + [0] * n_max
         return block_recursion(tau.n, max(n_max, 1))[: n_max + 1]
-    seq = [1, *_dp_layers(tau, n_max, _DP_MAX_STATES)]
-    if len(seq) <= n_max:
-        return _walk_sequence(tau, n_max, workers)
-    return seq
+    return [1, *_dp_layers(tau, n_max, _DP_MAX_STATES)]
 
 
-def count_avoiders(tau: SetPartition, n: int, *, workers: int = 1) -> CountRecord:
+def count_avoiders(tau: SetPartition, n: int) -> CountRecord:
     """Exact number of partitions of [n] avoiding tau: entry n of
-    ``count_sequence(tau, n, workers=workers)``."""
-    return CountRecord(format_partition(tau), n, count_sequence(tau, n, workers=workers)[n])
+    ``count_sequence(tau, n)``."""
+    return CountRecord(format_partition(tau), n, count_sequence(tau, n)[n])
 
 
-def _rgs(n: int, check: Callable[[list[list[int]], int], bool] | None) -> Iterator[SetPartition]:
-    """Partitions of [n] in lexicographic restricted-growth-string order.
+def _rgs(
+    n: int, check: Callable[[list[list[int]], int], bool] | None, blocks: list[list[int]], i: int
+) -> Iterator[SetPartition]:
+    """Partitions of [n] extending the prefix partition of [i - 1] held in
+    ``blocks``, in lexicographic restricted-growth-string order.
 
     A prefix is pruned, with everything below it, when ``check(blocks, bi)``
     holds for the block bi that its newest element joined; a None check
     prunes nothing.
     """
-    blocks: list[list[int]] = []
-
-    def rec(i: int) -> Iterator[SetPartition]:
-        if i > n:
-            yield SetPartition(n, blocks)
-            return
-        for bi in range(len(blocks)):
-            blocks[bi].append(i)
-            if check is None or not check(blocks, bi):
-                yield from rec(i + 1)
-            blocks[bi].pop()
-        blocks.append([i])
-        if check is None or not check(blocks, len(blocks) - 1):
-            yield from rec(i + 1)
-        blocks.pop()
-
-    return rec(1)
+    if i > n:
+        yield SetPartition(n, blocks)
+        return
+    for bi in range(len(blocks)):
+        blocks[bi].append(i)
+        if check is None or not check(blocks, bi):
+            yield from _rgs(n, check, blocks, i + 1)
+        blocks[bi].pop()
+    blocks.append([i])
+    if check is None or not check(blocks, len(blocks) - 1):
+        yield from _rgs(n, check, blocks, i + 1)
+    blocks.pop()
 
 
 def enumerate_avoiders(tau: SetPartition, n: int) -> Iterator[SetPartition]:
     """Yield every avoider of tau among partitions of [n], each exactly once,
     in lexicographic restricted-growth-string order."""
     _validate_args(tau, n)
-    yield from _rgs(n, _anchored_checker(tau))
+    yield from _rgs(n, _anchored_checker(tau), [], 1)
 
 
 def all_partitions(n: int) -> Iterator[SetPartition]:
     """All set partitions of [n] in lexicographic restricted-growth-string order."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    yield from _rgs(n, None)
+    yield from _rgs(n, None, [], 1)
 
 
 def count_avoiders_oracle(

@@ -67,7 +67,7 @@ class TestCount:
         assert row["pm"] == 0 and row["pm_target"] is None
 
     def test_workers_capped_at_cpu_count(self, capsys):
-        # rejected while the arguments are validated, so no process is started
+        # --workers has no effect, but a value outside 1..CPU count is still refused
         limit = os.cpu_count() or 1
         rc, _, err = run(
             capsys, "count", "--pattern", "12/34", "--n-from", "1", "--n-to", "8",
@@ -141,9 +141,9 @@ class TestCache:
         calls = []
         real = cli.count_sequence
 
-        def spy(tau, n_max, workers=1):
+        def spy(tau, n_max):
             calls.append(n_max)
-            return real(tau, n_max, workers=workers)
+            return real(tau, n_max)
 
         monkeypatch.setattr(cli, "count_sequence", spy)
         rc, second, _ = run(
@@ -159,9 +159,9 @@ class TestCache:
         calls = []
         real = cli.count_sequence
 
-        def spy(tau, n_max, workers=1):
+        def spy(tau, n_max):
             calls.append(n_max)
-            return real(tau, n_max, workers=workers)
+            return real(tau, n_max)
 
         monkeypatch.setattr(cli, "count_sequence", spy)
         args = ("count", "--pattern", "1/23", "--n-from", "1", "--cache", str(cache))
@@ -333,7 +333,7 @@ class TestBounds:
 
     def test_violation_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            cli, "count_sequence", lambda tau, n_max, workers=1: [10**9] * (n_max + 1)
+            cli, "count_sequence", lambda tau, n_max: [10**9] * (n_max + 1)
         )
         rc, out, err = run(
             capsys, "bounds", "--shape", "1,2", "--n-from", "2", "--n-to", "2", "--no-cache"
@@ -405,8 +405,9 @@ class TestUniformCommand:
 
 @pytest.mark.parametrize("module", ["concurrent.futures.process", "dataclasses", "inspect"])
 def test_cli_import_leaves_the_process_pool_unloaded(module):
-    # start-up does not pay for the pool, which serves only the walk
-    # fallback, or for the dataclass machinery and the inspect module it loads
+    # start-up loads no process pool (counting runs in one process and
+    # --workers has no effect), nor the dataclass machinery and the inspect
+    # module it loads
     import subprocess
     import sys
 

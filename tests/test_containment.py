@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 
@@ -11,12 +12,15 @@ from partpat import (
     Occurrence,
     SetPartition,
     contains,
+    dacp_contains,
     embed_into_permutation_partition,
+    enumerate_avoiders,
     find_occurrence,
     layered_witness,
     parse,
     permutation_partition,
     standardize,
+    to_dacp,
 )
 
 from conftest import (
@@ -27,6 +31,24 @@ from conftest import (
     patterns_of,
     rgs_key,
 )
+
+
+def test_searches_leave_no_reference_cycles():
+    # a recursive nested function left alive after the call holds itself
+    # through its closure cell, and only the cyclic collector frees it
+    host, pattern = parse("124/35"), parse("1/23")
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert find_occurrence(host, pattern) is not None
+        assert find_occurrence(parse("12/34"), parse("1/2/3")) is None
+        assert dacp_contains(to_dacp(host), to_dacp(pattern))
+        assert len(list(enumerate_avoiders(parse("12/34"), 6))) == 122
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class TestContains:

@@ -27,7 +27,7 @@ from partpat import (
     uniform_count,
     uniform_partitions,
 )
-from partpat import enumeration
+from partpat import cli, enumeration
 from partpat.enumeration import _dp_layers, _walk_sequence
 
 from conftest import brute_contains, cached_count, compositions, patterns_of
@@ -68,8 +68,6 @@ class TestCountAvoiders:
             count_avoiders(parse(""), 3)
         with pytest.raises(ValueError):
             count_avoiders(parse("12"), -1)
-        with pytest.raises(ValueError):
-            count_avoiders(parse("12"), 3, workers=0)
 
     def test_bell_ceiling_exactly_when_pattern_too_big(self):
         for k in range(1, 5):
@@ -80,13 +78,6 @@ class TestCountAvoiders:
                         assert count == bell(n)
                     else:
                         assert count < bell(n) or bell(n) <= 1
-
-    def test_parallel_equals_sequential(self):
-        for tau_text, n in (("123", 9), ("1/23", 8), ("12/34", 8)):
-            tau = parse(tau_text)
-            assert count_avoiders(tau, n, workers=2) == count_avoiders(tau, n)
-            # the pool serves only the walk, so check it there directly
-            assert _walk_sequence(tau, n, workers=2) == _walk_sequence(tau, n)
 
 
 class TestCountSequence:
@@ -105,26 +96,18 @@ class TestCountSequence:
                 assert dp_sequence(tau, 8) == oracle, str(tau)
                 assert _walk_sequence(tau, 8) == oracle, str(tau)
 
-    def test_hand_over_to_the_walk_is_exact(self, monkeypatch):
-        walks = []
-        real = enumeration._walk_sequence
-
-        def spy(tau, n_max, workers=1):
-            walks.append((str(tau), n_max, workers))
-            return real(tau, n_max, workers)
-
-        monkeypatch.setattr(enumeration, "_walk_sequence", spy)
-        # a cap both patterns outgrow part-way, at layers 7 and 4
+    def test_outgrowing_the_state_cap_is_refused(self, monkeypatch, capsys):
+        # 12/34 outgrows a cap of 10 states in layer 7
         monkeypatch.setattr(enumeration, "_DP_MAX_STATES", 10)
-        assert len(list(_dp_layers(parse("12/34"), 9, 10))) == 6
-        assert len(list(_dp_layers(parse("14/235"), 9, 10))) == 3
-        for tau_text, workers in (("12/34", 1), ("14/235", 2)):
-            tau = parse(tau_text)
-            assert count_sequence(tau, 9, workers=workers) == dp_sequence(tau, 9)
-        assert walks == [("12/34", 9, 1), ("14/235", 9, 2)]
-        # a pattern whose layers stay under the cap never walks
+        text = "DP state cap 10 exceeded by 12/34 at layer m=7 (n=9)"
+        with pytest.raises(CeilingError) as refused:
+            count_sequence(parse("12/34"), 9)
+        assert str(refused.value) == text
+        rc = cli.main(["count", "--pattern", "12/34", "--n-from", "1", "--n-to", "9", "--no-cache"])
+        out, err = capsys.readouterr()
+        assert rc == 3 and out == "" and err == f"ceiling: {text}\n"
+        # a pattern whose layers stay under the cap is counted
         assert count_sequence(parse("14/2/3"), 9) == dp_sequence(parse("14/2/3"), 9)
-        assert len(walks) == 2
 
     def test_one_block_pattern_uses_the_block_recursion(self, monkeypatch):
         def no_dp(tau, n_max, max_states=math.inf):

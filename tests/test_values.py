@@ -30,7 +30,7 @@ VALUES = [
     (lambda: CountRecord("12/3", 4, 10), "CountRecord(tau='12/3', n=4, count=10)"),
     (
         lambda: ScanConfig((parse("12"),), 1, 3),
-        "ScanConfig(patterns=(SetPartition(n=2, blocks=((1, 2),)),), n_from=1, n_to=3, workers=1,"
+        "ScanConfig(patterns=(SetPartition(n=2, blocks=((1, 2),)),), n_from=1, n_to=3,"
         " oracle_ceiling=10, enum_ceiling=13, use_oracle=False, cache_path=None, fmt='csv', out=None)",
     ),
     (
