@@ -411,6 +411,12 @@ def test_cli_import_leaves_the_process_pool_unloaded(module):
     import subprocess
     import sys
 
+    # the child imports the partpat under test, whether pytest found it through
+    # PYTHONPATH or through its pythonpath setting
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = f"import sys, partpat.cli; print({module!r} in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
     assert out.stdout.strip() == "False"
