@@ -8,7 +8,8 @@ element whose pattern block is already bound always takes the least
 element of its host block above the image of the element before it,
 which never loses an occurrence, so the search branches only where a
 pattern block opens, once per unused host block, and the witness it
-returns is the lexicographically least one.
+returns is the lexicographically least one. ``contains`` runs the same
+search and builds no witness.
 """
 
 from __future__ import annotations
@@ -58,12 +59,24 @@ def find_occurrence(host: SetPartition, pattern: SetPartition) -> Occurrence | N
     >>> find_occurrence(parse("124/35"), parse("1/23")).map
     (1, 3, 5)
     """
+    image = _least_image(host, pattern)
+    return None if image is None else Occurrence(image)
+
+
+def contains(host: SetPartition, pattern: SetPartition) -> bool:
+    """True iff some subset of host's elements standardizes to the pattern
+    (``find_occurrence``'s search, which here builds no witness)."""
+    return _least_image(host, pattern) is not None
+
+
+def _least_image(host: SetPartition, pattern: SetPartition) -> list[int] | None:
+    """The least occurrence map of ``find_occurrence``, unchecked, or None."""
     if pattern.n < 1:
         raise ValueError("pattern must be nonempty")
     k, n = pattern.n, host.n
     if k > n:
         return None
-    pat_block = [pattern.block_of[j] for j in range(1, k + 1)]
+    pat_block = pattern.rgs
     host_block = host.block_of
     host_blocks = host.blocks
     binding = [-1] * len(pattern.blocks)
@@ -107,12 +120,7 @@ def find_occurrence(host: SetPartition, pattern: SetPartition) -> Occurrence | N
 
     found = extend(0, 1)
     del extend  # it refers to itself through its cell: break the cycle
-    return Occurrence(tuple(image)) if found else None
-
-
-def contains(host: SetPartition, pattern: SetPartition) -> bool:
-    """True iff some subset of host's elements standardizes to the pattern."""
-    return find_occurrence(host, pattern) is not None
+    return image if found else None
 
 
 def layered_witness(host: SetPartition, shape: LayeredShape) -> Occurrence:

@@ -3,7 +3,8 @@
 A set partition splits {1, ..., n} into disjoint nonempty blocks whose
 union is the whole ground set. Values are immutable; equality and hashing
 are structural on the canonical form (blocks ordered by their minimum,
-elements ascending inside each block).
+elements ascending inside each block). The element-to-block map ``block_of``
+and the restricted growth string ``rgs`` are built on first use, outside the value.
 
 Text notation joins blocks with "/". For n <= 9 the elements of a block
 are written as bare digits ("134/25"); for n >= 10 they are
@@ -98,14 +99,20 @@ class SetPartition(_Value):
 
     The constructor canonicalizes and validates: blocks are re-sorted, and
     the element multiset must be exactly 1..n. The empty partition (n = 0,
-    no blocks) is a valid value.
+    no blocks) is a valid value. ``block_of[e]`` and ``rgs[e - 1]`` give
+    the index of the block holding e; both are built on first use and take
+    no part in equality, hashing, repr or pickling.
+
+    >>> parse("134/25").rgs
+    (0, 1, 0, 0, 1)
     """
 
-    __slots__ = ("n", "blocks", "block_of")
+    __slots__ = ("n", "blocks", "block_of", "rgs")
     _fields = ("n", "blocks")
     n: int
     blocks: tuple[tuple[int, ...], ...]
     block_of: dict[int, int]  # element -> index of its block, built on first use
+    rgs: tuple[int, ...]  # rgs[e - 1] = block_of[e], built on first use
 
     def __init__(self, n: int, blocks: Iterable[Iterable[int]]) -> None:
         if n < 0:
@@ -130,15 +137,18 @@ class SetPartition(_Value):
         mat = list(map(tuple, blocks))
         return cls(max(itertools.chain.from_iterable(mat), default=0), mat)
 
-    def __getattr__(self, name: str) -> dict[int, int]:
-        # Called only when normal lookup fails, as it does for block_of until
-        # its slot is set: the map is built on first use and read as a plain
-        # slot from then on.
-        if name != "block_of":
+    def __getattr__(self, name: str) -> Any:
+        # Called only when normal lookup fails, as it does for block_of and
+        # rgs until their slots are set: each is built on first use and read
+        # as a plain slot from then on.
+        if name == "block_of":
+            value: Any = {e: i for i, b in enumerate(self.blocks) for e in b}
+        elif name == "rgs":
+            value = tuple(map(self.block_of.__getitem__, range(1, self.n + 1)))
+        else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        block_of = {e: i for i, b in enumerate(self.blocks) for e in b}
-        object.__setattr__(self, "block_of", block_of)
-        return block_of
+        object.__setattr__(self, name, value)
+        return value
 
     def __str__(self) -> str:
         return format_partition(self)

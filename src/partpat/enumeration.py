@@ -102,7 +102,7 @@ def _anchored_checker(pattern: SetPartition) -> Callable[[list[list[int]], int],
     per unused host block, on that block's largest element below it.
     """
     k = pattern.n
-    pat_block = tuple(pattern.block_of[j] for j in range(1, k + 1))
+    pat_block = pattern.rgs
     n_pat_blocks = len(pattern.blocks)
     pat_sizes = [0] * n_pat_blocks
     need_below = []
@@ -219,7 +219,7 @@ def _transfer_tables(tau: SetPartition):
     free[j] counts the unmet pattern blocks after j elements.
     """
     k = tau.n
-    pat = [tau.block_of[e] for e in range(1, k + 1)]
+    pat = tau.rgs
     met = [set(pat[:j]) for j in range(k + 1)]
     free = [len(tau.blocks) - len(m) for m in met]
     recurring = [sorted(b for b in met[j] if b in pat[j:]) for j in range(k + 1)]
@@ -452,7 +452,7 @@ def count_avoiders_oracle(
     tau: SetPartition, n: int, *, ceiling: int = DEFAULT_ORACLE_CEILING
 ) -> CountRecord:
     """Independent counter: enumerate all Bell(n) partitions, test each with
-    the witness matcher, no pruning. Used to cross-validate ``count_avoiders``."""
+    ``contains``, no pruning. Used to cross-validate ``count_avoiders``."""
     from .containment import contains
 
     _validate_args(tau, n)

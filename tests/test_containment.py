@@ -12,6 +12,7 @@ from partpat import (
     Occurrence,
     SetPartition,
     contains,
+    count_avoiders_oracle,
     dacp_contains,
     embed_into_permutation_partition,
     enumerate_avoiders,
@@ -33,6 +34,21 @@ from conftest import (
 )
 
 
+def seeded_large_hosts() -> list[SetPartition]:
+    """100 seeded hosts of 12..14 elements and 1..n blocks."""
+    rng = random.Random(20161)
+    hosts = []
+    for _ in range(100):
+        n = rng.randint(12, 14)
+        r = rng.randint(1, n)
+        labels = list(range(r)) + [rng.randrange(r) for _ in range(n - r)]
+        rng.shuffle(labels)
+        hosts.append(SetPartition.from_blocks(
+            [e for e in range(1, n + 1) if labels[e - 1] == b] for b in range(r)
+        ))
+    return hosts
+
+
 def test_searches_leave_no_reference_cycles():
     # a recursive nested function left alive after the call holds itself
     # through its closure cell, and only the cyclic collector frees it
@@ -43,6 +59,9 @@ def test_searches_leave_no_reference_cycles():
     try:
         assert find_occurrence(host, pattern) is not None
         assert find_occurrence(parse("12/34"), parse("1/2/3")) is None
+        assert contains(host, pattern)
+        assert not contains(parse("12/34"), parse("1/2/3"))
+        assert count_avoiders_oracle(parse("12/34"), 6).count == 122
         assert dacp_contains(to_dacp(host), to_dacp(pattern))
         assert len(list(enumerate_avoiders(parse("12/34"), 6))) == 122
         assert gc.collect() == 0
@@ -62,8 +81,16 @@ class TestContains:
         assert not contains(parse("13/24"), parse("12/34"))
 
     def test_empty_pattern_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="pattern must be nonempty"):
             contains(parse("12"), parse(""))
+        with pytest.raises(ValueError, match="pattern must be nonempty"):
+            find_occurrence(parse("12"), parse(""))
+
+    def test_agrees_with_find_occurrence_on_seeded_large_hosts(self):
+        for host in seeded_large_hosts():
+            for pattern in patterns_of(5):
+                found = find_occurrence(host, pattern) is not None
+                assert contains(host, pattern) is found, (str(host), str(pattern))
 
     def test_agrees_with_brute_force(self):
         # definition-level cross-check, hosts n <= 8, patterns k <= 4
@@ -125,17 +152,9 @@ class TestFindOccurrence:
                 assert (occ and occ.map) == expected, (str(host), str(pattern))
 
     def test_minimality_on_seeded_large_hosts(self):
-        # 100 seeded hosts of 12..14 elements, 1..n blocks, against all of [5]
-        rng = random.Random(20161)
+        # every seeded large host against all of [5]
         misses = 0
-        for _ in range(100):
-            n = rng.randint(12, 14)
-            r = rng.randint(1, n)
-            labels = list(range(r)) + [rng.randrange(r) for _ in range(n - r)]
-            rng.shuffle(labels)
-            host = SetPartition.from_blocks(
-                [e for e in range(1, n + 1) if labels[e - 1] == b] for b in range(r)
-            )
+        for host in seeded_large_hosts():
             least = least_witnesses(host, 5)
             for pattern in patterns_of(5):
                 expected = least.get(rgs_key(pattern))

@@ -21,7 +21,7 @@ from partpat import (
     standardize,
 )
 
-from conftest import compositions, partitions_up_to
+from conftest import compositions, partitions_up_to, rgs_key
 
 
 def random_partition(draw_rgs: list[int]) -> SetPartition:
@@ -135,6 +135,10 @@ class TestCanonicalForm:
             SetPartition(2, ((1, 2, 3),))
         with pytest.raises(ValueError, match="empty block"):
             SetPartition(1, ((1,), ()))
+
+    def test_rgs_is_the_restricted_growth_string(self):
+        for p in partitions_up_to(7):
+            assert p.rgs == rgs_key(p), str(p)
 
 
 class TestStandardize:

@@ -136,6 +136,34 @@ class TestCountSequence:
             assert cached_count(str(tau), 10) == cached_count(str(rev), 10), (str(tau), str(rev))
 
 
+class TestWilfClass:
+    # the one class of [5] that joins two reversal orbits
+    CLASS = ("1235/4", "1245/3", "1345/2")
+
+    def test_equal_sequences_to_12(self):
+        seqs = [count_sequence(parse(t), 12) for t in self.CLASS]
+        assert seqs[0] == seqs[1] == seqs[2]
+        assert seqs[0][12] == 2_274_757
+
+    def test_equal_oracle_counts_to_8(self):
+        for n in range(9):
+            counts = {count_avoiders_oracle(parse(t), n).count for t in self.CLASS}
+            assert len(counts) == 1, n
+
+    def test_two_reversal_orbits(self):
+        a, b, c = map(parse, self.CLASS)
+        assert reverse(a) == c and reverse(c) == a
+        assert reverse(b) == b
+
+    def test_no_other_pattern_of_5_shares_a_10(self):
+        same = [
+            str(tau)
+            for tau in patterns_of(5)
+            if len(tau.blocks) > 1 and cached_count(str(tau), 10) == 79_001
+        ]
+        assert same == list(self.CLASS)
+
+
 class TestOracle:
     def test_examples(self):
         assert count_avoiders_oracle(parse("123"), 5).count == 26

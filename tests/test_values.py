@@ -98,6 +98,17 @@ def test_block_of_is_outside_the_value():
     assert pickle.loads(pickle.dumps(p)).block_of == p.block_of
 
 
+def test_rgs_is_outside_the_value():
+    p, q = parse("134/25"), parse("134/25")
+    assert p.rgs == (0, 1, 0, 0, 1)
+    assert p.rgs is p.rgs
+    assert parse("").rgs == ()
+    assert p == q and q == p and hash(p) == hash(q)
+    assert repr(p) == repr(q)
+    for clone in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+        assert clone == p and clone.rgs == p.rgs
+
+
 @pytest.mark.parametrize(
     ("n", "blocks", "message"),
     [
