@@ -1,111 +1,19 @@
 """Exact tools for pattern avoidance in set partitions: containment tests
 with witnesses, avoider counting and streaming, growth-rate diagnostics,
-constructive bounds, and the equivalent directed-graph view."""
+constructive bounds, and the equivalent directed-graph view.
 
-from .containment import (
-    EmbeddingError,
-    Occurrence,
-    contains,
-    embed_into_permutation_partition,
-    find_occurrence,
-    layered_witness,
-    permutation_partition,
-)
-from .core import (
-    IntervalCut,
-    LayeredShape,
-    ParseError,
-    SetPartition,
-    format_partition,
-    is_layered,
-    is_permutation_partition,
-    parse,
-    permeability,
-    permeability_oracle,
-    sba,
-    standardize,
-)
-from .dacp import (
-    Dacp,
-    DacpError,
-    dacp_contains,
-    dacp_from_obj,
-    dacp_to_obj,
-    from_dacp,
-    to_dacp,
-    validate_dacp,
-)
-from .enumeration import (
-    CeilingError,
-    CountCache,
-    CountRecord,
-    all_partitions,
-    count_avoiders,
-    count_avoiders_oracle,
-    count_sequence,
-    enumerate_avoiders,
-    f_ratio,
-    uniform_avoids,
-    uniform_count,
-    uniform_partitions,
-)
-from .formulas import (
-    bell,
-    block_recursion,
-    log_lower_bound_uniform,
-    log_upper_bound_block,
-    log_upper_bound_layered,
-    singleton_count,
-    stirling2,
-)
+The package exports every name that its five library modules list in
+their own ``__all__``."""
 
-__all__ = [
-    "CeilingError",
-    "CountCache",
-    "CountRecord",
-    "Dacp",
-    "DacpError",
-    "EmbeddingError",
-    "IntervalCut",
-    "LayeredShape",
-    "Occurrence",
-    "ParseError",
-    "SetPartition",
-    "all_partitions",
-    "bell",
-    "block_recursion",
-    "contains",
-    "count_avoiders",
-    "count_avoiders_oracle",
-    "count_sequence",
-    "dacp_contains",
-    "dacp_from_obj",
-    "dacp_to_obj",
-    "embed_into_permutation_partition",
-    "enumerate_avoiders",
-    "f_ratio",
-    "find_occurrence",
-    "format_partition",
-    "from_dacp",
-    "is_layered",
-    "is_permutation_partition",
-    "layered_witness",
-    "log_lower_bound_uniform",
-    "log_upper_bound_block",
-    "log_upper_bound_layered",
-    "parse",
-    "permeability",
-    "permeability_oracle",
-    "permutation_partition",
-    "sba",
-    "singleton_count",
-    "standardize",
-    "stirling2",
-    "to_dacp",
-    "uniform_avoids",
-    "uniform_count",
-    "uniform_partitions",
-    "validate_dacp",
-]
+from . import containment, core, dacp, enumeration, formulas
+from .containment import *  # noqa: F403
+from .core import *  # noqa: F403
+from .dacp import *  # noqa: F403
+from .enumeration import *  # noqa: F403
+from .formulas import *  # noqa: F403
+
+__all__ = sorted(
+    {*containment.__all__, *core.__all__, *dacp.__all__, *enumeration.__all__, *formulas.__all__}
+)
 
 __version__ = "0.1.0"

@@ -1,10 +1,10 @@
 """Command-line harness: counting runs, containment queries, conjecture
 scans, bound audits, graph conversion, and cache management.
 
-Exit codes: 0 success, 1 invalid input, 2 hard assertion failure (a
-desk-scale theorem check or internal identity broke), 3 resource ceiling
-exceeded. Trend verdicts from the conjecture scans never change the exit
-status; only exact claims do.
+Exit codes: 0 success, 1 invalid input (or a file that cannot be read or
+written), 2 hard assertion failure (a desk-scale theorem check or internal
+identity broke), 3 resource ceiling exceeded. Trend verdicts from the
+conjecture scans never change the exit status; only exact claims do.
 """
 
 from __future__ import annotations
@@ -698,7 +698,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (ParseError, DacpError, ValueError) as exc:
+    except (ParseError, DacpError, ValueError, OSError) as exc:
+        # an OSError's message names the file: a missing @input, an --out
+        # directory that does not exist, a --cache path that is a directory
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except CeilingError as exc:

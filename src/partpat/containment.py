@@ -59,26 +59,35 @@ def find_occurrence(host: SetPartition, pattern: SetPartition) -> Occurrence | N
     >>> find_occurrence(parse("124/35"), parse("1/23")).map
     (1, 3, 5)
     """
-    image = _least_image(host, pattern)
+    image = _least_image(host.n, host.blocks, host.block_of, pattern)
     return None if image is None else Occurrence(image)
 
 
 def contains(host: SetPartition, pattern: SetPartition) -> bool:
     """True iff some subset of host's elements standardizes to the pattern
     (``find_occurrence``'s search, which here builds no witness)."""
-    return _least_image(host, pattern) is not None
+    return _least_image(host.n, host.blocks, host.block_of, pattern) is not None
 
 
-def _least_image(host: SetPartition, pattern: SetPartition) -> list[int] | None:
-    """The least occurrence map of ``find_occurrence``, unchecked, or None."""
+def _least_image(
+    n: int,
+    host_blocks: Sequence[Sequence[int]],
+    host_block: Sequence[int] | dict[int, int],
+    pattern: SetPartition,
+) -> list[int] | None:
+    """The least occurrence map of ``find_occurrence``, unchecked, or None.
+
+    The host is given by its parts: its ground size n, its blocks, each
+    ascending, and host_block[e], the index of the block holding e. So a
+    ``SetPartition``'s ``blocks`` and ``block_of`` serve, and so do the
+    lists of the enumeration walker, which need no value built.
+    """
     if pattern.n < 1:
         raise ValueError("pattern must be nonempty")
-    k, n = pattern.n, host.n
+    k = pattern.n
     if k > n:
         return None
     pat_block = pattern.rgs
-    host_block = host.block_of
-    host_blocks = host.blocks
     binding = [-1] * len(pattern.blocks)
     used = [False] * len(host_blocks)
     image = [0] * k

@@ -21,15 +21,19 @@ The DP is fast, but its memory grows with the number of states, so a
 layer that outgrows a fixed cap (see ``count_sequence``) raises
 ``CeilingError`` instead of counting in unbounded memory.
 
-A pruned walk of the restricted-growth-string tree, ``_walk_sequence``,
-counts the same sequence independently, and the tests check the DP
-against it. Element i either joins an existing block or opens a new one,
-so every partition of [n] is generated exactly once and the prefix of
-depth m is the restriction to [m]. A prefix whose restriction already
-contains the pattern is pruned. Because an occurrence created by
-appending element m must use m as its largest image, each node runs one
-anchored matcher call instead of a full containment search.
-``enumerate_avoiders`` lists the avoiders by the same pruned walk.
+One walker, ``_prefixes``, visits the restricted-growth-string tree.
+Element i either joins an existing block or opens a new one, so every
+partition of [n] is generated exactly once, in lexicographic order, and
+the node of depth m is its restriction to [m]. Walking for a pattern, it
+prunes a node whose partition already contains the pattern. Because an
+occurrence created by appending element m must use m as its largest
+image, each node runs one anchored matcher call instead of a full
+containment search. Tallied by depth, the pruned walk
+(``_walk_sequence``) counts the same sequence independently of the DP,
+and the tests check the DP against it; ``enumerate_avoiders`` lists the
+avoiders of [n] it reaches. Unpruned, the walk yields ``all_partitions``
+and feeds the oracle ``count_avoiders_oracle``, which runs the full
+containment search on each partition of [n] in the walker's own lists.
 
 Counts are exact Python integers throughout; no tally ever rounds.
 """
@@ -160,30 +164,47 @@ def _anchored_checker(pattern: SetPartition) -> Callable[[list[list[int]], int],
     return check
 
 
-def _walk(
-    check: Callable[[list[list[int]], int], bool],
-    n: int,
-    blocks: list[list[int]],
-    start: int,
-    tally: list[int],
-) -> None:
-    """Add to tally[m], for start <= m <= n, the avoiders of [m] that extend
-    the avoiding prefix partition of [start - 1] held in ``blocks``."""
-    children = 0
-    for bi in range(len(blocks)):
-        blocks[bi].append(start)
-        if not check(blocks, bi):
-            children += 1
-            if start < n:
-                _walk(check, n, blocks, start + 1, tally)
-        blocks[bi].pop()
-    blocks.append([start])
-    if not check(blocks, len(blocks) - 1):
-        children += 1
-        if start < n:
-            _walk(check, n, blocks, start + 1, tally)
-    blocks.pop()
-    tally[start] += children
+def _prefixes(
+    n: int, check: Callable[[list[list[int]], int], bool] | None
+) -> Iterator[tuple[int, list[list[int]], list[int]]]:
+    """Every kept node of the restricted-growth-string tree of [n], in
+    lexicographic order, as (m, blocks, block_of), the root m = 0 included.
+
+    ``blocks`` holds the node's partition of [m] with its blocks in order of
+    least element, and block_of[e] is the index of the block holding e for
+    1 <= e <= m. Both are the walker's own lists, changed in place as it
+    moves on, so a caller copies what it keeps. A node is pruned, with
+    everything below it, when ``check(blocks, bi)`` holds for the block bi
+    that its newest element joined; a None check prunes nothing.
+
+    >>> [tuple(block_of[1:]) for m, _, block_of in _prefixes(3, None) if m == 3]
+    [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2)]
+    """
+    blocks: list[list[int]] = []
+    block_of = [0] * (n + 1)
+    m = bi = 0  # the node is the partition of [m]; element m + 1 tries block bi next
+    yield m, blocks, block_of
+    while True:
+        if m < n and bi <= len(blocks):
+            m += 1
+            if bi == len(blocks):
+                blocks.append([])
+            blocks[bi].append(m)
+            block_of[m] = bi
+            if check is None or not check(blocks, bi):
+                yield m, blocks, block_of
+                bi = 0
+                continue
+        elif not m:
+            return
+        # take element m back out and move it on to the next block
+        bi = block_of[m]
+        blk = blocks[bi]
+        blk.pop()
+        if not blk:
+            blocks.pop()
+        m -= 1
+        bi += 1
 
 
 def _walk_sequence(tau: SetPartition, n_max: int) -> list[int]:
@@ -192,9 +213,9 @@ def _walk_sequence(tau: SetPartition, n_max: int) -> list[int]:
     It shares no state logic with the transfer DP, so the tests use it as
     the independent reference for ``count_sequence``.
     """
-    tally = [1] + [0] * n_max
-    if n_max:
-        _walk(_anchored_checker(tau), n_max, [], 1, tally)
+    tally = [0] * (n_max + 1)
+    for m, _, _ in _prefixes(n_max, _anchored_checker(tau)):
+        tally[m] += 1
     return tally
 
 
@@ -410,55 +431,41 @@ def count_avoiders(tau: SetPartition, n: int) -> CountRecord:
     return CountRecord(format_partition(tau), n, count_sequence(tau, n)[n])
 
 
-def _rgs(
-    n: int, check: Callable[[list[list[int]], int], bool] | None, blocks: list[list[int]], i: int
-) -> Iterator[SetPartition]:
-    """Partitions of [n] extending the prefix partition of [i - 1] held in
-    ``blocks``, in lexicographic restricted-growth-string order.
-
-    A prefix is pruned, with everything below it, when ``check(blocks, bi)``
-    holds for the block bi that its newest element joined; a None check
-    prunes nothing.
-    """
-    if i > n:
-        yield SetPartition(n, blocks)
-        return
-    for bi in range(len(blocks)):
-        blocks[bi].append(i)
-        if check is None or not check(blocks, bi):
-            yield from _rgs(n, check, blocks, i + 1)
-        blocks[bi].pop()
-    blocks.append([i])
-    if check is None or not check(blocks, len(blocks) - 1):
-        yield from _rgs(n, check, blocks, i + 1)
-    blocks.pop()
-
-
 def enumerate_avoiders(tau: SetPartition, n: int) -> Iterator[SetPartition]:
     """Yield every avoider of tau among partitions of [n], each exactly once,
     in lexicographic restricted-growth-string order."""
     _validate_args(tau, n)
-    yield from _rgs(n, _anchored_checker(tau), [], 1)
+    for m, blocks, _ in _prefixes(n, _anchored_checker(tau)):
+        if m == n:
+            yield SetPartition(n, blocks)
 
 
 def all_partitions(n: int) -> Iterator[SetPartition]:
     """All set partitions of [n] in lexicographic restricted-growth-string order."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    yield from _rgs(n, None, [], 1)
+    for m, blocks, _ in _prefixes(n, None):
+        if m == n:
+            yield SetPartition(n, blocks)
 
 
 def count_avoiders_oracle(
     tau: SetPartition, n: int, *, ceiling: int = DEFAULT_ORACLE_CEILING
 ) -> CountRecord:
-    """Independent counter: enumerate all Bell(n) partitions, test each with
-    ``contains``, no pruning. Used to cross-validate ``count_avoiders``."""
-    from .containment import contains
+    """Independent counter: walk all Bell(n) partitions with no pruning and
+    test each with ``contains``'s full search, run on the walker's own
+    lists, so no ``SetPartition`` is built. Used to cross-validate
+    ``count_avoiders``."""
+    from .containment import _least_image
 
     _validate_args(tau, n)
     if n > ceiling:
         raise CeilingError(f"oracle limited to n <= {ceiling} (requested n={n})")
-    total = sum(1 for p in all_partitions(n) if not contains(p, tau))
+    total = sum(
+        1
+        for m, blocks, block_of in _prefixes(n, None)
+        if m == n and _least_image(n, blocks, block_of, tau) is None
+    )
     return CountRecord(format_partition(tau), n, total)
 
 

@@ -403,6 +403,23 @@ class TestUniformCommand:
         assert rc == 1
 
 
+@pytest.mark.parametrize(
+    ("argv", "bad"),
+    [
+        (["dacp", "from", "@{tmp}/missing.json"], "{tmp}/missing.json"),
+        (["count", "--pattern", "12/3", "--n-from", "1", "--n-to", "3", "--no-cache",
+          "--out", "{tmp}/nodir/out.csv"], "{tmp}/nodir/out.csv"),
+        (["count", "--pattern", "12/3", "--n-from", "1", "--n-to", "3",
+          "--cache", "{tmp}"], "{tmp}"),
+    ],
+    ids=["missing-input", "out-dir-missing", "cache-is-directory"],
+)
+def test_file_error_exits_1_naming_the_path(capsys, tmp_path, argv, bad):
+    rc, out, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and bad.format(tmp=tmp_path) in err
+
+
 @pytest.mark.parametrize("module", ["concurrent.futures.process", "dataclasses", "inspect"])
 def test_cli_import_leaves_the_process_pool_unloaded(module):
     # start-up loads no process pool (counting runs in one process and

@@ -11,6 +11,7 @@ from partpat import (
     LayeredShape,
     Occurrence,
     SetPartition,
+    all_partitions,
     contains,
     count_avoiders_oracle,
     dacp_contains,
@@ -23,6 +24,7 @@ from partpat import (
     standardize,
     to_dacp,
 )
+from partpat.enumeration import _walk_sequence
 
 from conftest import (
     brute_contains,
@@ -64,6 +66,8 @@ def test_searches_leave_no_reference_cycles():
         assert count_avoiders_oracle(parse("12/34"), 6).count == 122
         assert dacp_contains(to_dacp(host), to_dacp(pattern))
         assert len(list(enumerate_avoiders(parse("12/34"), 6))) == 122
+        assert _walk_sequence(parse("12/34"), 6)[6] == 122
+        assert len(list(all_partitions(6))) == 203
         assert gc.collect() == 0
     finally:
         if enabled:

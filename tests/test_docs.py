@@ -1,5 +1,6 @@
 """The documentation examples run: each partpat module's docstrings and the
-README's library session."""
+README's library session. The package exports each library module's
+public names."""
 
 from __future__ import annotations
 
@@ -26,3 +27,12 @@ def test_readme_examples():
     result = doctest.testfile(str(readme), module_relative=False)
     assert result.attempted > 0
     assert result.failed == 0
+
+
+def test_package_exports_each_module_list():
+    modules = [importlib.import_module(f"partpat.{m}")
+               for m in ("containment", "core", "dacp", "enumeration", "formulas")]
+    assert sorted(partpat.__all__) == sorted(name for m in modules for name in m.__all__)
+    for m in modules:
+        for name in m.__all__:
+            assert getattr(partpat, name) is getattr(m, name), name

@@ -30,7 +30,7 @@ from partpat import (
 from partpat import cli, enumeration
 from partpat.enumeration import _dp_layers, _walk_sequence
 
-from conftest import brute_contains, cached_count, compositions, patterns_of
+from conftest import brute_contains, cached_count, compositions, patterns_of, rgs_key
 
 
 def dp_sequence(tau, n_max):
@@ -192,6 +192,21 @@ class TestOracle:
             assert count_avoiders(tau, n).count == expected
             assert count_avoiders_oracle(tau, n).count == expected
 
+    def test_builds_no_partition_value(self, monkeypatch):
+        # the oracle tests the walker's own lists; it wraps none of the
+        # Bell(8) = 4,140 partitions it visits in a SetPartition
+        tau = parse("12/34")
+        built = []
+        init = SetPartition.__init__
+
+        def counting_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(SetPartition, "__init__", counting_init)
+        assert count_avoiders_oracle(tau, 8).count == 1114
+        assert built == []
+
 
 class TestEnumerateAvoiders:
     def test_exact_members_small(self):
@@ -205,19 +220,19 @@ class TestEnumerateAvoiders:
         assert [str(p) for p in enumerate_avoiders(parse("1/2"), 3)] == ["123"]
 
     def test_stream_in_rgs_order_without_repeats(self):
-        def rgs(p):
-            label = {}
-            out = []
-            for e in range(1, p.n + 1):
-                b = p.block_of[e]
-                label.setdefault(b, len(label))
-                out.append(label[b])
-            return tuple(out)
+        streams = [enumerate_avoiders(parse(t), 6) for t in ("123", "12/3", "1/23")]
+        for stream in (*streams, all_partitions(6)):
+            keys = [rgs_key(p) for p in stream]
+            assert keys == sorted(keys)
+            assert len(keys) == len(set(keys))
 
-        for tau_text in ("123", "12/3", "1/23"):
-            stream = [rgs(p) for p in enumerate_avoiders(parse(tau_text), 6)]
-            assert stream == sorted(stream)
-            assert len(stream) == len(set(stream))
+    def test_empty_ground_set_has_one_partition(self):
+        tau = parse("12/34")
+        empty = [SetPartition(0, ())]
+        assert list(all_partitions(0)) == empty
+        assert list(enumerate_avoiders(tau, 0)) == empty
+        assert _walk_sequence(tau, 0) == [1]
+        assert count_avoiders_oracle(tau, 0).count == 1
 
     def test_stream_length_equals_count(self):
         for tau_text in ("123", "13/2", "12/34"):
