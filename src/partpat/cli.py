@@ -1,10 +1,13 @@
 """Command-line harness: counting runs, containment queries, conjecture
 scans, bound audits, graph conversion, and cache management.
 
-Exit codes: 0 success, 1 invalid input (or a file that cannot be read or
-written), 2 hard assertion failure (a desk-scale theorem check or internal
-identity broke), 3 resource ceiling exceeded. Trend verdicts from the
-conjecture scans never change the exit status; only exact claims do.
+Exit codes: 0 success (a reader that closes stdout early, as ``| head``
+does, ends the run quietly with 0), 1 invalid input (or a file that cannot
+be read or written), 2 hard assertion failure (a desk-scale theorem check or
+internal identity broke), 3 resource ceiling exceeded. Trend verdicts from
+the conjecture scans never change the exit status; only exact claims do.
+``conjectures --all-k K`` needs K >= 1 and ``bounds --all-k K``, which
+audits the layered shapes of size 2..K, needs K >= 2.
 """
 
 from __future__ import annotations
@@ -22,11 +25,8 @@ from typing import Any, Sequence
 
 from .containment import find_occurrence
 from .core import (
-    IntervalCut,
     LayeredShape,
-    ParseError,
     SetPartition,
-    _Value,
     format_partition,
     parse,
     permeability,
@@ -74,79 +74,6 @@ class _UsageError(ValueError):
     pass
 
 
-class ScanConfig(_Value):
-    """Validated knobs shared by the scanning subcommands."""
-
-    __slots__ = _fields = (
-        "patterns", "n_from", "n_to", "oracle_ceiling", "enum_ceiling",
-        "use_oracle", "cache_path", "fmt", "out",
-    )
-
-    def __init__(
-        self,
-        patterns: tuple[SetPartition, ...],
-        n_from: int,
-        n_to: int,
-        oracle_ceiling: int = DEFAULT_ORACLE_CEILING,
-        enum_ceiling: int = DEFAULT_ENUM_CEILING,
-        use_oracle: bool = False,
-        cache_path: Path | None = None,
-        fmt: str = "csv",
-        out: Path | None = None,
-    ) -> None:
-        if n_from < 0 or n_to < n_from:
-            raise ValueError("n range is empty or negative")
-        if oracle_ceiling > 12:
-            raise ValueError("oracle ceiling must be <= 12")
-        if fmt not in ("csv", "json"):
-            raise ValueError(f"unknown format {fmt!r}")
-        self._assign(
-            patterns, n_from, n_to, oracle_ceiling, enum_ceiling,
-            use_oracle, cache_path, fmt, out,
-        )
-
-    def check_ceiling(self) -> None:
-        if self.use_oracle:
-            if self.n_to > self.oracle_ceiling:
-                raise CeilingError(
-                    f"oracle ceiling {self.oracle_ceiling} exceeded by n={self.n_to}"
-                )
-        elif self.n_to > self.enum_ceiling and not all(map(closed_form, self.patterns)):
-            raise CeilingError(
-                f"enumeration ceiling {self.enum_ceiling} exceeded by n={self.n_to}"
-            )
-
-    def ns(self) -> range:
-        return range(self.n_from, self.n_to + 1)
-
-
-class ConjectureVerdict(_Value):
-    """Outcome of one conjecture probe for one pattern (or the whole family).
-
-    ``fail`` always carries a concrete counterexample; asymptotic probes
-    only ever report a consistent or inconsistent trend, never a pass.
-    """
-
-    __slots__ = _fields = ("conjecture", "tau", "status", "summary", "rows", "counterexample")
-
-    def __init__(
-        self,
-        conjecture: str,
-        tau: str | None,
-        status: str,
-        summary: str,
-        rows: tuple[dict[str, Any], ...] = (),
-        counterexample: dict[str, Any] | None = None,
-    ) -> None:
-        if status == "fail" and counterexample is None:
-            raise AssertionError("fail verdict requires a counterexample")
-        self._assign(conjecture, tau, status, summary, rows, counterexample)
-
-    def line(self) -> str:
-        scope = f" tau={self.tau}" if self.tau else ""
-        return f"conjecture {self.conjecture}{scope}: {self.status} ({self.summary})"
-
-
 def _fmt(x: Any) -> str:
     if x is None:
         return ""
@@ -155,14 +82,30 @@ def _fmt(x: Any) -> str:
     return str(x)
 
 
-def _counter(config: ScanConfig):
-    """Cache-aware count function for the scan subcommands.
+def _scan_counter(args: argparse.Namespace, patterns: Sequence[SetPartition]):
+    """Check the scan flags, then return the cache-aware count function of
+    the scan subcommands.
 
     A cache miss is counted by the oracle under ``--oracle``; otherwise each
     pattern is counted once per scan: the first miss asks ``count_sequence``
-    for every n up to n_to.
+    for every n up to ``--n-to``. The cache is ``--cache``, else
+    ``$PARTPAT_CACHE``, and none under ``--no-cache``.
     """
-    cache = CountCache(config.cache_path) if config.cache_path else None
+    # --workers has no effect but keeps its range check, so every command line exits as before
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.workers <= cpus:
+        raise ValueError(f"worker count must be between 1 and {cpus}, the CPU count")
+    if args.n_from < 0 or args.n_to < args.n_from:
+        raise ValueError("n range is empty or negative")
+    if args.oracle_ceiling > 12:
+        raise ValueError("oracle ceiling must be <= 12")
+    if args.oracle:
+        if args.n_to > args.oracle_ceiling:
+            raise CeilingError(f"oracle ceiling {args.oracle_ceiling} exceeded by n={args.n_to}")
+    elif args.n_to > args.enum_ceiling and not all(map(closed_form, patterns)):
+        raise CeilingError(f"enumeration ceiling {args.enum_ceiling} exceeded by n={args.n_to}")
+    path = None if args.no_cache else args.cache or os.environ.get(CACHE_ENV_VAR)
+    cache = CountCache(path) if path else None
     sequences: dict[str, list[int]] = {}
 
     def count(tau: SetPartition, n: int) -> CountRecord:
@@ -171,12 +114,12 @@ def _counter(config: ScanConfig):
             hit = cache.get(text, n)
             if hit is not None:
                 return CountRecord(text, n, hit)
-        if config.use_oracle:
-            record = count_avoiders_oracle(tau, n, ceiling=config.oracle_ceiling)
+        if args.oracle:
+            record = count_avoiders_oracle(tau, n, ceiling=args.oracle_ceiling)
         else:
             seq = sequences.get(text)
             if seq is None or len(seq) <= n:
-                seq = count_sequence(tau, max(n, config.n_to))
+                seq = count_sequence(tau, max(n, args.n_to))
                 sequences[text] = seq
             record = CountRecord(text, n, seq[n])
         if cache is not None:
@@ -208,15 +151,15 @@ def _scan_rows(tau: SetPartition, records: Sequence[CountRecord]) -> list[dict[s
     return rows
 
 
-def _write_report(text: str, config: ScanConfig) -> None:
-    if config.out is not None:
-        config.out.write_text(text, encoding="utf-8")
+def _write_report(text: str, args: argparse.Namespace) -> None:
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
 
-def _emit_rows(rows: list[dict[str, Any]], columns: Sequence[str], config: ScanConfig) -> None:
-    if config.fmt == "csv":
+def _emit_rows(rows: list[dict[str, Any]], columns: Sequence[str], args: argparse.Namespace) -> None:
+    if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
@@ -225,17 +168,7 @@ def _emit_rows(rows: list[dict[str, Any]], columns: Sequence[str], config: ScanC
         text = buf.getvalue()
     else:
         text = json.dumps(rows, indent=2) + "\n"
-    _write_report(text, config)
-
-
-def _emit_document(doc: Any, text_lines: list[str], config: ScanConfig, columns: Sequence[str], rows: list[dict[str, Any]]) -> None:
-    """Verdict-style output: text summary on stderr, data on stdout/file."""
-    for line in text_lines:
-        print(line, file=sys.stderr)
-    if config.fmt == "json":
-        _write_report(json.dumps(doc, indent=2) + "\n", config)
-    else:
-        _emit_rows(rows, columns, config)
+    _write_report(text, args)
 
 
 # ---------------------------------------------------------------- count
@@ -243,11 +176,9 @@ def _emit_document(doc: Any, text_lines: list[str], config: ScanConfig, columns:
 
 def _cmd_count(args: argparse.Namespace) -> int:
     tau = parse(args.pattern)
-    config = _scan_config(args, patterns=(tau,))
-    config.check_ceiling()
-    count = _counter(config)
-    records = [count(tau, n) for n in config.ns()]
-    _emit_rows(_scan_rows(tau, records), SCAN_COLUMNS, config)
+    count = _scan_counter(args, (tau,))
+    records = [count(tau, n) for n in range(args.n_from, args.n_to + 1)]
+    _emit_rows(_scan_rows(tau, records), SCAN_COLUMNS, args)
     return EXIT_OK
 
 
@@ -285,9 +216,35 @@ def _margin_blow_up(margins: list[float]) -> bool:
     return min(margins[half:]) > max(margins[:half]) and margins[-1] > 2 * margins[0]
 
 
+def _verdict(
+    conjecture: str,
+    tau: str | None,
+    status: str,
+    summary: str,
+    rows: Sequence[dict[str, Any]] = (),
+    counterexample: dict[str, Any] | None = None,
+) -> dict[str, Any]:
+    """Outcome of one conjecture probe for one pattern (or, with tau None,
+    the whole family), as the JSON report prints it.
+
+    ``fail`` always carries a concrete counterexample; asymptotic probes
+    only ever report a consistent or inconsistent trend, never a pass.
+    """
+    if status == "fail" and counterexample is None:
+        raise AssertionError("fail verdict requires a counterexample")
+    return {
+        "conjecture": conjecture,
+        "tau": tau,
+        "status": status,
+        "summary": summary,
+        "rows": list(rows),
+        "counterexample": counterexample,
+    }
+
+
 def _conjecture_one(
     k: int, counts: dict[str, list[CountRecord]], ns: range
-) -> ConjectureVerdict:
+) -> dict[str, Any]:
     block = format_partition(SetPartition.from_blocks([range(1, k + 1)]))
     block_counts = {r.n: r.count for r in counts[block]}
     rows = []
@@ -303,49 +260,49 @@ def _conjecture_one(
                 n0 = rec.n
         rows.append({"tau": tau_text, "first_strict_n": n0})
     if counterexample is not None:
-        return ConjectureVerdict(
+        return _verdict(
             "1", None, "fail",
             f"A_n(block) < A_n({counterexample['tau']}) at n={counterexample['n']}",
-            tuple(rows), counterexample,
+            rows, counterexample,
         )
-    return ConjectureVerdict(
+    return _verdict(
         "1", None, "pass",
         f"A_n({block}) >= A_n(tau) for all {len(counts) - 1} other patterns of [{k}], "
         f"n in {ns.start}..{ns.stop - 1}",
-        tuple(rows),
+        rows,
     )
 
 
-def _conjecture_probes(rows: list[dict[str, Any]]) -> list[ConjectureVerdict]:
+def _conjecture_probes(rows: list[dict[str, Any]]) -> list[dict[str, Any]]:
     """Verdicts on conjectures 5, 6 and 2-4 for one pattern, read off its
     ``_scan_rows``."""
     tau_text, pm, target = rows[0]["tau"], rows[0]["pm"], rows[0]["pm_target"]
     usable = [r for r in rows if r["f_ratio"] is not None]
     fs = [(r["n"], r["f_ratio"]) for r in usable]
-    verdicts: list[ConjectureVerdict] = []
+    verdicts: list[dict[str, Any]] = []
 
     if pm == 0:
         verdicts.append(
-            ConjectureVerdict(
+            _verdict(
                 "5", tau_text, "degenerate",
                 "pm=0: target 1-1/pm undefined; growth is at most exponential so F tends to 0"
                 + ("; observed F stays 0" if all(f == 0.0 for _, f in fs) else ""),
-                tuple({"n": n, "f_ratio": f, "pm_target": None, "gap": None} for n, f in fs),
+                [{"n": n, "f_ratio": f, "pm_target": None, "gap": None} for n, f in fs],
             )
         )
         verdicts.append(
-            ConjectureVerdict("6", tau_text, "degenerate", "pm=0: no finite target to compare against")
+            _verdict("6", tau_text, "degenerate", "pm=0: no finite target to compare against")
         )
         return verdicts
 
     margins = [abs(r["gap_times_log_n"]) for r in usable]
-    rows5 = tuple(
+    rows5 = [
         {"n": r["n"], "f_ratio": r["f_ratio"], "pm_target": target, "gap": r["gap"]} for r in usable
-    )
+    ]
     status = "inconsistent" if _margin_blow_up(margins) else "consistent"
     last = usable[-1] if usable else {"n": "-", "gap": None}
     verdicts.append(
-        ConjectureVerdict(
+        _verdict(
             "5", tau_text, status,
             f"pm={pm}, target={_fmt(target)}, gap at n={last['n']} is {_fmt(last['gap'])}",
             rows5,
@@ -358,7 +315,7 @@ def _conjecture_probes(rows: list[dict[str, Any]]) -> list[ConjectureVerdict]:
         dist = abs(c_est - round(c_est)) if c_est is not None else None
         rows24.append({"n": n, "c_estimate": c_est, "distance_to_integer": dist})
 
-    rows6 = tuple({"n": r["n"], "margin": m} for r, m in zip(usable, margins))
+    rows6 = [{"n": r["n"], "margin": m} for r, m in zip(usable, margins)]
     summary6 = f"|F_n - (1-1/{pm})| * ln n stays within [{_fmt(min(margins, default=0.0))}, {_fmt(max(margins, default=0.0))}]"
     c_last = rows24[-1]["c_estimate"] if rows24 else None
     if c_last is not None:
@@ -368,64 +325,58 @@ def _conjecture_probes(rows: list[dict[str, Any]]) -> list[ConjectureVerdict]:
                 f"; observed trend prefers c={nearest} (target {_fmt(1 - 1 / nearest)})"
                 f" over pm-based c={pm}"
             )
-    verdicts.append(ConjectureVerdict("6", tau_text, status, summary6, rows6))
+    verdicts.append(_verdict("6", tau_text, status, summary6, rows6))
 
     if rows24:
         tail = rows24[-1]
         verdicts.append(
-            ConjectureVerdict(
+            _verdict(
                 "2-4", tau_text, "diagnostic",
                 f"1/(1-F_n) at n={tail['n']} is {_fmt(tail['c_estimate'])}, "
                 f"{_fmt(tail['distance_to_integer'])} from the nearest integer",
-                tuple(rows24),
+                rows24,
             )
         )
     return verdicts
 
 
+def _family_k(args: argparse.Namespace, least: int) -> int:
+    """The ``--all-k`` family size, checked against ``--k-ceiling`` and the
+    least size the scan can use."""
+    if args.all_k > args.k_ceiling:
+        raise CeilingError(f"pattern family ceiling k <= {args.k_ceiling} exceeded by k={args.all_k}")
+    if args.all_k < least:
+        raise ValueError(f"--all-k must be >= {least}")
+    return args.all_k
+
+
 def _cmd_conjectures(args: argparse.Namespace) -> int:
     if args.all_k is not None:
-        if args.all_k > args.k_ceiling:
-            raise CeilingError(f"pattern family ceiling k <= {args.k_ceiling} exceeded by k={args.all_k}")
-        if args.all_k < 1:
-            raise ValueError("--all-k must be >= 1")
-        patterns = tuple(all_partitions(args.all_k))
+        patterns = tuple(all_partitions(_family_k(args, 1)))
     elif args.pattern:
         patterns = tuple(parse(t) for t in args.pattern)
     else:
         raise ValueError("supply --all-k or at least one --pattern")
-    config = _scan_config(args, patterns=patterns)
-    config.check_ceiling()
-    count = _counter(config)
+    count = _scan_counter(args, patterns)
+    ns = range(args.n_from, args.n_to + 1)
+    counts = {format_partition(tau): [count(tau, n) for n in ns] for tau in patterns}
 
-    counts: dict[str, list[CountRecord]] = {}
-    for tau in patterns:
-        counts[format_partition(tau)] = [count(tau, n) for n in config.ns()]
-
-    verdicts: list[ConjectureVerdict] = []
+    verdicts = []
     if args.all_k is not None:
-        verdicts.append(_conjecture_one(args.all_k, counts, config.ns()))
+        verdicts.append(_conjecture_one(args.all_k, counts, ns))
     rows_of = {
         format_partition(tau): _scan_rows(tau, counts[format_partition(tau)]) for tau in patterns
     }
     for rows in rows_of.values():
         verdicts.extend(_conjecture_probes(rows))
     scan_rows = [row for tau in patterns for row in rows_of[format_partition(tau)]]
-    doc = {
-        "verdicts": [
-            {
-                "conjecture": v.conjecture,
-                "tau": v.tau,
-                "status": v.status,
-                "summary": v.summary,
-                "rows": list(v.rows),
-                "counterexample": v.counterexample,
-            }
-            for v in verdicts
-        ],
-        "rows": scan_rows,
-    }
-    _emit_document(doc, [v.line() for v in verdicts], config, SCAN_COLUMNS, scan_rows)
+    for v in verdicts:
+        scope = f" tau={v['tau']}" if v["tau"] else ""
+        print(f"conjecture {v['conjecture']}{scope}: {v['status']} ({v['summary']})", file=sys.stderr)
+    if args.format == "json":
+        _write_report(json.dumps({"verdicts": verdicts, "rows": scan_rows}, indent=2) + "\n", args)
+    else:
+        _emit_rows(scan_rows, SCAN_COLUMNS, args)
     return EXIT_OK
 
 
@@ -450,11 +401,9 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
                 raise ValueError(f"malformed shape {text!r}; expected e.g. 2,2")
             shapes.append(LayeredShape(parts))
     elif args.all_k is not None:
-        if args.all_k > args.k_ceiling:
-            raise CeilingError(f"pattern family ceiling k <= {args.k_ceiling} exceeded by k={args.all_k}")
         shapes = [
             LayeredShape(c)
-            for k in range(2, args.all_k + 1)
+            for k in range(2, _family_k(args, 2) + 1)
             for c in compositions(k)
             if len(c) < k
         ]
@@ -464,16 +413,14 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         if shape.r >= shape.k:
             raise ValueError(f"shape {shape.parts} has no non-singleton layer (k must exceed r)")
 
-    config = _scan_config(args, patterns=tuple(s.to_partition() for s in shapes))
-    config.check_ceiling()
-    count = _counter(config)
+    patterns = [shape.to_partition() for shape in shapes]
+    count = _scan_counter(args, patterns)
 
     rows = []
     findings = []
-    for shape in shapes:
-        tau = shape.to_partition()
+    for shape, tau in zip(shapes, patterns):
         k, r, t = shape.k, shape.r, shape.k - shape.r
-        for n in config.ns():
+        for n in range(args.n_from, args.n_to + 1):
             if n < 1:
                 continue
             rec = count(tau, n)
@@ -508,7 +455,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
                     "within": within,
                 }
             )
-    _emit_rows(rows, BOUND_COLUMNS, config)
+    _emit_rows(rows, BOUND_COLUMNS, args)
     if findings:
         for finding in findings:
             print(finding, file=sys.stderr)
@@ -594,31 +541,6 @@ def _cmd_uniform(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- wiring
 
 
-def _scan_config(args: argparse.Namespace, patterns: tuple[SetPartition, ...]) -> ScanConfig:
-    if getattr(args, "no_cache", False):
-        cache_path = None
-    elif getattr(args, "cache", None):
-        cache_path = Path(args.cache)
-    else:
-        env = os.environ.get(CACHE_ENV_VAR)
-        cache_path = Path(env) if env else None
-    # --workers has no effect but keeps its range check, so every command line exits as before
-    cpus = os.cpu_count() or 1
-    if not 1 <= getattr(args, "workers", 1) <= cpus:
-        raise ValueError(f"worker count must be between 1 and {cpus}, the CPU count")
-    return ScanConfig(
-        patterns=patterns,
-        n_from=args.n_from,
-        n_to=args.n_to,
-        oracle_ceiling=getattr(args, "oracle_ceiling", DEFAULT_ORACLE_CEILING),
-        enum_ceiling=getattr(args, "enum_ceiling", DEFAULT_ENUM_CEILING),
-        use_oracle=getattr(args, "oracle", False),
-        cache_path=cache_path,
-        fmt=getattr(args, "format", "csv"),
-        out=Path(args.out) if getattr(args, "out", None) else None,
-    )
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # route argparse failures to exit code 1
         raise _UsageError(message)
@@ -694,13 +616,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (ParseError, DacpError, ValueError, OSError) as exc:
-        # an OSError's message names the file: a missing @input, an --out
-        # directory that does not exist, a --cache path that is a directory
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early, as ``| head`` does: not an error.
+        # Point fd 1 at the null device so the exit-time flush stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
+    except (ValueError, OSError) as exc:
+        # invalid input, a usage, parse or graph error among them; an OSError's
+        # message names the file: a missing @input, an --out directory that
+        # does not exist, a --cache path that is a directory
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except CeilingError as exc:

@@ -17,7 +17,14 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Sequence
 
-from .core import LayeredShape, SetPartition, _increasing_ints, _Value, parse
+from .core import (
+    LayeredShape,
+    SetPartition,
+    _increasing_ints,
+    _Value,
+    is_permutation_partition,
+    parse,
+)
 
 __all__ = [
     "EmbeddingError",
@@ -222,15 +229,8 @@ def embed_into_permutation_partition(
                 block.append(lo_fresh)
     rank = {v: i for i, v in enumerate(sorted(v for b in completed for v in b), start=1)}
     relabeled = SetPartition.from_blocks([[rank[v] for v in b] for b in completed])
-    sigma = _as_permutation_partition(relabeled)
+    sigma = is_permutation_partition(relabeled)
+    if sigma is None:
+        raise AssertionError(f"completed partition {relabeled} is not a permutation partition")
     witness = Occurrence(tuple(rank[e] for e in range(1, pattern.n + 1)))
     return sigma, witness
-
-
-def _as_permutation_partition(p: SetPartition) -> tuple[int, ...]:
-    from .core import is_permutation_partition
-
-    sigma = is_permutation_partition(p)
-    if sigma is None:
-        raise AssertionError(f"completed partition {p} is not a permutation partition")
-    return sigma

@@ -49,6 +49,7 @@ from itertools import permutations, product
 from pathlib import Path
 from typing import Callable, Iterator
 
+from .containment import _least_image
 from .core import SetPartition, _Value, format_partition, sba
 from .formulas import block_recursion
 
@@ -456,8 +457,6 @@ def count_avoiders_oracle(
     test each with ``contains``'s full search, run on the walker's own
     lists, so no ``SetPartition`` is built. Used to cross-validate
     ``count_avoiders``."""
-    from .containment import _least_image
-
     _validate_args(tau, n)
     if n > ceiling:
         raise CeilingError(f"oracle limited to n <= {ceiling} (requested n={n})")
@@ -494,11 +493,7 @@ def uniform_partitions(n: int, t: int) -> Iterator[SetPartition]:
     later section contributes one free matching, so there are exactly
     (n/t)!^(t-1) uniform partitions; see ``uniform_count``.
     """
-    if t < 1:
-        raise ValueError("section count must be >= 1")
-    if n % t:
-        raise ValueError(f"section count {t} does not divide n={n}")
-    b = n // t
+    b = _section_length(n, t)
     for matchings in product(permutations(range(1, b + 1)), repeat=t - 1):
         blocks = [
             [i] + [j * b + m[i - 1] for j, m in enumerate(matchings, start=1)]
@@ -509,11 +504,18 @@ def uniform_partitions(n: int, t: int) -> Iterator[SetPartition]:
 
 def uniform_count(n: int, t: int) -> int:
     """Exact number of uniform partitions of [n] with t sections: (n/t)!^(t-1)."""
+    return math.factorial(_section_length(n, t)) ** (t - 1)
+
+
+def _section_length(n: int, t: int) -> int:
+    """n/t, the length of each of the t sections of [n], after checking n and t."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     if t < 1:
         raise ValueError("section count must be >= 1")
     if n % t:
         raise ValueError(f"section count {t} does not divide n={n}")
-    return math.factorial(n // t) ** (t - 1)
+    return n // t
 
 
 def uniform_avoids(tau: SetPartition, t: int) -> bool:

@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -331,6 +333,15 @@ class TestBounds:
         )
         assert rc == 1 and "k must exceed r" in err
 
+    @pytest.mark.parametrize(
+        ("command", "k", "least"), [("bounds", "1", 2), ("bounds", "-2", 2), ("conjectures", "0", 1)]
+    )
+    def test_all_k_below_the_least_family(self, capsys, command, k, least):
+        rc, out, err = run(
+            capsys, command, "--all-k", k, "--n-from", "1", "--n-to", "4", "--no-cache"
+        )
+        assert rc == 1 and out == "" and err == f"error: --all-k must be >= {least}\n"
+
     def test_violation_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(
             cli, "count_sequence", lambda tau, n_max: [10**9] * (n_max + 1)
@@ -398,9 +409,37 @@ class TestUniformCommand:
         rc, _, err = run(capsys, "uniform", "--n", "5", "--sections", "2")
         assert rc == 1
 
+    def test_negative_n_named(self, capsys):
+        rc, out, err = run(capsys, "uniform", "--n", "-2", "--sections", "1")
+        assert rc == 1 and out == "" and err == "error: n must be nonnegative\n"
+
     def test_unknown_command_is_invalid_input(self, capsys):
         rc, _, err = run(capsys, "frobnicate")
         assert rc == 1
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["count", "--pattern", "12/34"], ["conjectures", "--pattern", "12/34"], ["bounds", "--shape", "2,2"]],
+    ids=["count", "conjectures", "bounds"],
+)
+@pytest.mark.parametrize(
+    ("flags", "code", "message"),
+    [
+        (["--n-from", "5", "--n-to", "2"], 1, "n range is empty or negative"),
+        (["--n-from", "-1"], 1, "n range is empty or negative"),
+        (["--oracle-ceiling", "13"], 1, "oracle ceiling must be <= 12"),
+        (["--workers", "0"], 1, f"1 and {os.cpu_count() or 1}"),
+        (["--n-to", "14"], 3, "enumeration ceiling 13 exceeded by n=14"),
+        (["--oracle", "--n-to", "11"], 3, "oracle ceiling 10 exceeded by n=11"),
+    ],
+    ids=["n-reversed", "n-negative", "oracle-ceiling-cap", "workers", "enum-ceiling", "oracle-ceiling"],
+)
+def test_scan_flags_checked(capsys, command, flags, code, message):
+    rc, out, err = run(
+        capsys, *command, "--n-from", "1", "--n-to", "4", "--no-cache", *flags
+    )
+    assert rc == code and out == "" and message in err
 
 
 @pytest.mark.parametrize(
@@ -420,20 +459,40 @@ def test_file_error_exits_1_naming_the_path(capsys, tmp_path, argv, bad):
     assert err.startswith("error: ") and bad.format(tmp=tmp_path) in err
 
 
+def _child_env() -> dict[str, str]:
+    # a child imports the partpat under test, whether pytest found it through
+    # PYTHONPATH or through its pythonpath setting
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 @pytest.mark.parametrize("module", ["concurrent.futures.process", "dataclasses", "inspect"])
 def test_cli_import_leaves_the_process_pool_unloaded(module):
     # start-up loads no process pool (counting runs in one process and
     # --workers has no effect), nor the dataclass machinery and the inspect
     # module it loads
-    import subprocess
-    import sys
-
-    # the child imports the partpat under test, whether pytest found it through
-    # PYTHONPATH or through its pythonpath setting
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = f"import sys, partpat.cli; print({module!r} in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=_child_env()
     )
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "launcher",
+    [["-m", "partpat.cli"], ["-c", "import sys; from partpat.cli import main; sys.exit(main())"]],
+    ids=["module", "entry-point"],
+)
+def test_closed_stdout_exits_quietly(launcher):
+    # the reader is gone before the run starts, so writing the listing meets
+    # a broken pipe, as under `partpat uniform ... | head -1`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, *launcher, "uniform", "--n", "12", "--sections", "2", "--list"],
+            stdout=write_end, stderr=subprocess.PIPE, env=_child_env(), timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0 and proc.stderr == b""

@@ -303,6 +303,12 @@ class TestUniformPartitions:
         assert [str(p) for p in uniform_partitions(4, 1)] == ["1/2/3/4"]
         assert uniform_count(4, 1) == 1
 
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_negative_n_rejected(self, t):
+        for call in (uniform_count, lambda n, t: list(uniform_partitions(n, t))):
+            with pytest.raises(ValueError, match="^n must be nonnegative$"):
+                call(-2, t)
+
     def test_three_sections_of_six(self):
         members = list(uniform_partitions(6, 3))
         assert len(members) == uniform_count(6, 3) == 4

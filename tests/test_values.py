@@ -1,4 +1,4 @@
-"""The value-type contract of partpat's eight immutable classes: structural
+"""The value-type contract of partpat's six immutable classes: structural
 equality within one class, a hash that agrees with it, no assignment,
 pickling and copying by the constructor, and the ``Name(field=value)`` repr."""
 
@@ -18,7 +18,6 @@ from partpat import (
     SetPartition,
     parse,
 )
-from partpat.cli import ConjectureVerdict, ScanConfig
 
 # (builder of a fresh value, its repr)
 VALUES = [
@@ -28,16 +27,6 @@ VALUES = [
     (lambda: Occurrence((1, 3, 5)), "Occurrence(map=(1, 3, 5))"),
     (lambda: Dacp(3, frozenset({(2, 1)})), "Dacp(n=3, edges=frozenset({(2, 1)}))"),
     (lambda: CountRecord("12/3", 4, 10), "CountRecord(tau='12/3', n=4, count=10)"),
-    (
-        lambda: ScanConfig((parse("12"),), 1, 3),
-        "ScanConfig(patterns=(SetPartition(n=2, blocks=((1, 2),)),), n_from=1, n_to=3,"
-        " oracle_ceiling=10, enum_ceiling=13, use_oracle=False, cache_path=None, fmt='csv', out=None)",
-    ),
-    (
-        lambda: ConjectureVerdict("5", "123", "consistent", "ok"),
-        "ConjectureVerdict(conjecture='5', tau='123', status='consistent', summary='ok',"
-        " rows=(), counterexample=None)",
-    ),
 ]
 IDS = [text.split("(")[0] for _, text in VALUES]
 
