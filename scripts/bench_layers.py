@@ -1,0 +1,150 @@
+"""Per-layer timings of partpat's parser and its three containment searches.
+
+    PYTHONPATH=src python3 scripts/bench_layers.py [--repeat 7] [--walk-n 8]
+        [--out BENCH_layers.json]
+
+Everything runs in this one process, on inputs drawn from a fixed seed. Each
+call is timed alone, --repeat times, and keeps its fastest time: on a
+shared machine a short call finds a quiet moment far more often than a
+whole round does.
+
+- ``parse.us``: mean microseconds per ``parse`` of a host's text. The hosts
+  have 12..40 elements, one for each size and each of two block-count
+  levels.
+- ``find_occurrence.us.p50`` and ``.p99``: every host against every
+  pattern of [3..5], over the queries' fastest times.
+- ``walk.ns_per_node``: nanoseconds per kept node of the pruned walk
+  ``_walk_sequence``, one call per pattern of [3..5], up to n = --walk-n.
+- ``dacp_contains.us``: mean microseconds per graph containment check, every
+  pattern of [3..4] in every host of 5..8 elements at five block-count
+  levels. The backtracking search is exponential in the host, so its
+  hosts are small.
+
+The counts (queries, hits, nodes, checks) depend only on --walk-n, so two
+builds timed with the same flags did the same work. The
+report goes to --out as JSON and, in short, to stdout. The script uses the
+standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import platform
+import random
+import sys
+import time
+from functools import partial
+
+from partpat import (
+    SetPartition,
+    all_partitions,
+    dacp_contains,
+    find_occurrence,
+    format_partition,
+    parse,
+    to_dacp,
+)
+from partpat.enumeration import _walk_sequence
+
+clock = time.perf_counter_ns
+SEED = 1
+
+
+def random_host(rng: random.Random, n: int, bins: int) -> str:
+    """The text of a partition of [n]: each element falls into one of
+    ``bins`` bins at random, and empty bins vanish."""
+    blocks: dict[int, list[int]] = {}
+    for e in range(1, n + 1):
+        blocks.setdefault(rng.randrange(bins), []).append(e)
+    return format_partition(SetPartition.from_blocks(blocks.values()))
+
+
+def hosts(rng: random.Random, n_lo: int, n_hi: int, levels: int) -> list[str]:
+    """One host text for every size n_lo..n_hi and block-count level."""
+    return [
+        random_host(rng, n, max(1, round(n * (i + 0.5) / levels)))
+        for n in range(n_lo, n_hi + 1)
+        for i in range(levels)
+    ]
+
+
+def fastest(calls: list, repeat: int) -> list[int]:
+    """Each call's fastest time, in ns, over ``repeat`` rounds of all of them."""
+    best = [math.inf] * len(calls)
+    for _ in range(repeat):
+        for i, call in enumerate(calls):
+            start = clock()
+            call()
+            best[i] = min(best[i], clock() - start)
+    return best
+
+
+def percentile(ordered: list[int], q: float) -> int:
+    return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
+
+
+def measure(repeat: int, walk_n: int) -> dict:
+    rng = random.Random(SEED)
+    texts = hosts(rng, 12, 40, 2)
+    patterns = [p for k in (3, 4, 5) for p in all_partitions(k)]
+    host_values = [parse(t) for t in texts]
+    pairs = [(h, p) for h in host_values for p in patterns]
+    checks = [
+        (to_dacp(parse(h)), to_dacp(p))
+        for h in hosts(rng, 5, 8, 5)
+        for p in (*all_partitions(3), *all_partitions(4))
+    ]
+
+    parse_ns = fastest([partial(parse, t) for t in texts], repeat)
+    query_ns = sorted(fastest([partial(find_occurrence, h, p) for h, p in pairs], repeat))
+    walk_ns = fastest([partial(_walk_sequence, p, walk_n) for p in patterns], repeat)
+    dacp_ns = fastest([partial(dacp_contains, g, p) for g, p in checks], repeat)
+    nodes = sum(sum(_walk_sequence(p, walk_n)) for p in patterns)
+
+    return {
+        "metrics": {
+            "parse.us": sum(parse_ns) / len(texts) / 1e3,
+            "find_occurrence.us.p50": percentile(query_ns, 0.50) / 1e3,
+            "find_occurrence.us.p99": percentile(query_ns, 0.99) / 1e3,
+            "walk.ns_per_node": sum(walk_ns) / nodes,
+            "dacp_contains.us": sum(dacp_ns) / len(checks) / 1e3,
+        },
+        "counts": {
+            "hosts": len(texts),
+            "queries": len(pairs),
+            "query_hits": sum(find_occurrence(h, p) is not None for h, p in pairs),
+            "walk_nodes": nodes,
+            "dacp_checks": len(checks),
+            "dacp_hits": sum(dacp_contains(g, p) for g, p in checks),
+        },
+        "config": {
+            "seed": SEED,
+            "repeat": repeat,
+            "walk_n": walk_n,
+            "python": platform.python_version(),
+            "machine": platform.machine(),
+        },
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeat", type=int, default=7, help="rounds; each call keeps its fastest")
+    parser.add_argument("--walk-n", type=int, default=8)
+    parser.add_argument("--out", default="BENCH_layers.json")
+    args = parser.parse_args(argv)
+    if args.repeat < 1 or args.walk_n < 1:
+        parser.error("--repeat and --walk-n must be positive")
+    report = measure(args.repeat, args.walk_n)
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=2)
+        fh.write("\n")
+    for name, value in report["metrics"].items():
+        print(f"{name:24} {value:10.3f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

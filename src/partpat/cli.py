@@ -354,7 +354,8 @@ def _cmd_conjectures(args: argparse.Namespace) -> int:
     if args.all_k is not None:
         patterns = tuple(all_partitions(_family_k(args, 1)))
     elif args.pattern:
-        patterns = tuple(parse(t) for t in args.pattern)
+        # a repeated pattern is scanned and reported once, where it first appears
+        patterns = tuple(dict.fromkeys(map(parse, args.pattern)))
     else:
         raise ValueError("supply --all-k or at least one --pattern")
     count = _scan_counter(args, patterns)
@@ -364,12 +365,10 @@ def _cmd_conjectures(args: argparse.Namespace) -> int:
     verdicts = []
     if args.all_k is not None:
         verdicts.append(_conjecture_one(args.all_k, counts, ns))
-    rows_of = {
-        format_partition(tau): _scan_rows(tau, counts[format_partition(tau)]) for tau in patterns
-    }
-    for rows in rows_of.values():
+    rows_of = [_scan_rows(tau, counts[format_partition(tau)]) for tau in patterns]
+    for rows in rows_of:
         verdicts.extend(_conjecture_probes(rows))
-    scan_rows = [row for tau in patterns for row in rows_of[format_partition(tau)]]
+    scan_rows = [row for rows in rows_of for row in rows]
     for v in verdicts:
         scope = f" tau={v['tau']}" if v["tau"] else ""
         print(f"conjecture {v['conjecture']}{scope}: {v['status']} ({v['summary']})", file=sys.stderr)
@@ -579,14 +578,16 @@ def _build_parser() -> _Parser:
     p_check.set_defaults(func=_cmd_check)
 
     p_conj = subs.add_parser("conjectures", help="probe the growth conjectures at desk scale")
-    p_conj.add_argument("--all-k", type=int, help="scan every pattern of [k]")
-    p_conj.add_argument("--pattern", action="append", help="explicit pattern (repeatable)")
+    family = p_conj.add_mutually_exclusive_group()
+    family.add_argument("--all-k", type=int, help="scan every pattern of [k]")
+    family.add_argument("--pattern", action="append", help="explicit pattern (repeatable)")
     _add_scan_flags(p_conj)
     p_conj.set_defaults(func=_cmd_conjectures)
 
     p_bounds = subs.add_parser("bounds", help="audit the layered upper/lower bounds")
-    p_bounds.add_argument("--shape", action="append", help='layer sizes, e.g. "2,2" (repeatable)')
-    p_bounds.add_argument("--all-k", type=int, help="every layered shape with sum <= k and r < k")
+    family = p_bounds.add_mutually_exclusive_group()
+    family.add_argument("--shape", action="append", help='layer sizes, e.g. "2,2" (repeatable)')
+    family.add_argument("--all-k", type=int, help="every layered shape with sum <= k and r < k")
     _add_scan_flags(p_bounds)
     p_bounds.set_defaults(func=_cmd_bounds)
 

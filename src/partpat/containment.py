@@ -9,7 +9,9 @@ element of its host block above the image of the element before it,
 which never loses an occurrence, so the search branches only where a
 pattern block opens, once per unused host block, and the witness it
 returns is the lexicographically least one. ``contains`` runs the same
-search and builds no witness.
+search and builds no witness. The search recurses through the
+module-level ``_extend``, which takes every per-call list as an argument,
+so a query builds no function object and leaves no reference cycle.
 """
 
 from __future__ import annotations
@@ -87,56 +89,62 @@ def _least_image(
     The host is given by its parts: its ground size n, its blocks, each
     ascending, and host_block[e], the index of the block holding e. So a
     ``SetPartition``'s ``blocks`` and ``block_of`` serve, and so do the
-    lists of the enumeration walker, which need no value built.
+    lists of the enumeration walker, which need no value built. The
+    search state is three fresh lists, handed to ``_extend``.
     """
     if pattern.n < 1:
         raise ValueError("pattern must be nonempty")
     k = pattern.n
     if k > n:
         return None
-    pat_block = pattern.rgs
     binding = [-1] * len(pattern.blocks)
     used = [False] * len(host_blocks)
     image = [0] * k
-
-    def extend(j: int, lo: int) -> bool:
-        # image[j] (pattern element j + 1) must be >= lo
-        while j < k:
-            b = pat_block[j]
-            hb = binding[b]
-            if hb < 0:
-                break
-            blk = host_blocks[hb]
-            i = bisect_left(blk, lo)
-            if i == len(blk):
-                return False
-            e = blk[i]
-            image[j] = e
-            lo = e + 1
-            j += 1
-        else:
-            return True
-        size = len(pattern.blocks[b])
-        for e in range(lo, n - (k - j) + 2):
-            hb = host_block[e]
-            if used[hb]:
-                continue
-            blk = host_blocks[hb]
-            i = bisect_left(blk, e)
-            if (i and blk[i - 1] >= lo) or len(blk) - i < size:
-                continue
-            binding[b] = hb
-            used[hb] = True
-            image[j] = e
-            if extend(j + 1, e + 1):
-                return True
-            used[hb] = False
-        binding[b] = -1
-        return False
-
-    found = extend(0, 1)
-    del extend  # it refers to itself through its cell: break the cycle
+    found = _extend(0, 1, n, k, pattern.rgs, pattern.blocks, host_blocks, host_block, binding, used, image)
     return image if found else None
+
+
+def _extend(
+    j: int, lo: int, n: int, k: int, pat_block: Sequence[int], pat_blocks: Sequence[Sequence[int]],
+    host_blocks: Sequence[Sequence[int]], host_block: Sequence[int] | dict[int, int],
+    binding: list[int], used: list[bool], image: list[int],
+) -> bool:
+    """Complete image[j:], the images of pattern elements j + 1..k, with
+    image[j] >= lo. binding[b] is the host block of pattern block b (-1
+    while unbound) and used[hb] marks a taken host block; a failed call
+    leaves both as it found them."""
+    while j < k:
+        b = pat_block[j]
+        hb = binding[b]
+        if hb < 0:
+            break
+        blk = host_blocks[hb]
+        i = bisect_left(blk, lo)
+        if i == len(blk):
+            return False
+        e = blk[i]
+        image[j] = e
+        lo = e + 1
+        j += 1
+    else:
+        return True
+    size = len(pat_blocks[b])
+    for e in range(lo, n - (k - j) + 2):
+        hb = host_block[e]
+        if used[hb]:
+            continue
+        blk = host_blocks[hb]
+        i = bisect_left(blk, e)
+        if (i and blk[i - 1] >= lo) or len(blk) - i < size:
+            continue
+        binding[b] = hb
+        used[hb] = True
+        image[j] = e
+        if _extend(j + 1, e + 1, n, k, pat_block, pat_blocks, host_blocks, host_block, binding, used, image):
+            return True
+        used[hb] = False
+    binding[b] = -1
+    return False
 
 
 def layered_witness(host: SetPartition, shape: LayeredShape) -> Occurrence:

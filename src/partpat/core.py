@@ -172,6 +172,9 @@ def _partition_fault(n: int, canon: list[tuple[int, ...]]) -> ValueError:
     return ValueError(f"missing element {missing}")
 
 
+_PARSE_CHARS = frozenset("0123456789,/")
+
+
 def parse(text: str) -> SetPartition:
     """Parse slash notation into a canonical partition.
 
@@ -191,44 +194,54 @@ def parse(text: str) -> SetPartition:
     """
     if text == "":
         return SetPartition(0, ())
+    if _PARSE_CHARS.issuperset(text):
+        try:
+            if "," in text or "0" in text:
+                blocks = [list(map(int, token.split(","))) for token in text.split("/")]
+            else:
+                blocks = [list(map(int, token)) for token in text.split("/")]
+            # the constructor rejects an empty block and a duplicate, missing or zero element
+            return SetPartition(sum(map(len, blocks)), blocks)
+        except ValueError:
+            pass
+    raise _parse_fault(text) or AssertionError(f"parse rejected {text!r} without a fault")
+
+
+def _parse_fault(text: str) -> ParseError | None:
+    """The first fault of ``text`` as slash notation, found by a scan
+    character by character, or None for a valid text. ``parse`` runs it
+    only on a text it rejects, for the message and position of its error."""
     comma_form = "," in text or "0" in text
-    positions: dict[int, int] = {}
-    blocks: list[list[int]] = []
+    seen: set[int] = set()
     cursor = 0
-    for token in text.split("/"):
+    for token in text.split("/") if text else ():
         if not token:
-            raise ParseError("empty block", cursor)
-        elems: list[int] = []
+            return ParseError("empty block", cursor)
         if comma_form:
             offset = 0
             for piece in token.split(","):
                 if not piece or not (piece.isascii() and piece.isdigit()):
-                    raise ParseError(f"malformed element {piece!r}", cursor + offset)
+                    return ParseError(f"malformed element {piece!r}", cursor + offset)
                 value = int(piece)
                 if value == 0:
-                    raise ParseError("element 0 is not allowed", cursor + offset)
-                _note_element(value, cursor + offset, positions)
-                elems.append(value)
+                    return ParseError("element 0 is not allowed", cursor + offset)
+                if value in seen:
+                    return ParseError(f"duplicate element {value}", cursor + offset)
+                seen.add(value)
                 offset += len(piece) + 1
         else:
             for offset, ch in enumerate(token):
                 if ch not in "123456789":
-                    raise ParseError(f"malformed character {ch!r}", cursor + offset)
-                _note_element(int(ch), cursor + offset, positions)
-                elems.append(int(ch))
-        blocks.append(elems)
+                    return ParseError(f"malformed character {ch!r}", cursor + offset)
+                value = int(ch)
+                if value in seen:
+                    return ParseError(f"duplicate element {value}", cursor + offset)
+                seen.add(value)
         cursor += len(token) + 1
-    n = max(positions)
-    for e in range(1, n + 1):
-        if e not in positions:
-            raise ParseError(f"missing element {e}", len(text))
-    return SetPartition(n, blocks)
-
-
-def _note_element(value: int, position: int, positions: dict[int, int]) -> None:
-    if value in positions:
-        raise ParseError(f"duplicate element {value}", position)
-    positions[value] = position
+    for e in range(1, max(seen, default=0) + 1):
+        if e not in seen:
+            return ParseError(f"missing element {e}", len(text))
+    return None
 
 
 def format_partition(p: SetPartition) -> str:

@@ -186,28 +186,30 @@ def dacp_contains(host: Dacp, pattern: Dacp) -> bool:
     for a, b in pattern.edges:
         pcode[a][b] = 1
         pcode[b][a] = -1
-    assigned = [0] * (k + 1)
-    used = [False] * (n + 1)
+    return _place(1, k, n, hcode, pcode, [0] * (k + 1), [False] * (n + 1))
 
-    def place(i: int) -> bool:
-        if i > k:
-            return True
-        want = pcode[i]
-        for v in range(1, n + 1):
-            if used[v]:
-                continue
-            hv = hcode[v]
-            if all(hv[assigned[j]] == want[j] for j in range(1, i)):
-                used[v] = True
-                assigned[i] = v
-                if place(i + 1):
-                    return True
-                used[v] = False
-        return False
 
-    found = place(1)
-    del place  # it refers to itself through its cell: break the cycle
-    return found
+def _place(
+    i: int, k: int, n: int, hcode: list[list[int]], pcode: list[list[int]],
+    assigned: list[int], used: list[bool],
+) -> bool:
+    """Can pattern vertices i..k take unused host vertices, after 1..i - 1
+    took assigned[1:i]? code[a][b] is 1 for an edge a -> b, -1 for b -> a
+    and 0 for none."""
+    if i > k:
+        return True
+    placed = assigned[1:i]
+    want = pcode[i][1:i]
+    for v in range(1, n + 1):
+        if used[v]:
+            continue
+        if list(map(hcode[v].__getitem__, placed)) == want:
+            used[v] = True
+            assigned[i] = v
+            if _place(i + 1, k, n, hcode, pcode, assigned, used):
+                return True
+            used[v] = False
+    return False
 
 
 def dacp_to_obj(g: Dacp) -> dict[str, Any]:

@@ -28,12 +28,14 @@ the node of depth m is its restriction to [m]. Walking for a pattern, it
 prunes a node whose partition already contains the pattern. Because an
 occurrence created by appending element m must use m as its largest
 image, each node runs one anchored matcher call instead of a full
-containment search. Tallied by depth, the pruned walk
-(``_walk_sequence``) counts the same sequence independently of the DP,
-and the tests check the DP against it; ``enumerate_avoiders`` lists the
-avoiders of [n] it reaches. Unpruned, the walk yields ``all_partitions``
-and feeds the oracle ``count_avoiders_oracle``, which runs the full
-containment search on each partition of [n] in the walker's own lists.
+containment search. The checker is compiled once per pattern and recurses
+through the module-level ``_descend``, so a node builds no closure.
+Tallied by depth, the pruned walk (``_walk_sequence``) counts the same
+sequence independently of the DP, and the tests check the DP against it;
+``enumerate_avoiders`` lists the avoiders of [n] it reaches. Unpruned,
+the walk yields ``all_partitions`` and feeds the oracle
+``count_avoiders_oracle``, which runs the full containment search on each
+partition of [n] in the walker's own lists.
 
 Counts are exact Python integers throughout; no tally ever rounds.
 """
@@ -105,6 +107,10 @@ def _anchored_checker(pattern: SetPartition) -> Callable[[list[list[int]], int],
     of its host block below the image of the element above it, with no
     choice, so the search branches only where a pattern block opens, once
     per unused host block, on that block's largest element below it.
+
+    The pattern's tables are built here, once; each call makes two fresh
+    lists and hands them to the module-level ``_descend``, so a call builds
+    no function object and leaves no reference cycle.
     """
     k = pattern.n
     pat_block = pattern.rgs
@@ -127,42 +133,45 @@ def _anchored_checker(pattern: SetPartition) -> Callable[[list[list[int]], int],
         used = [False] * len(blocks)
         binding[top_block] = anchor_idx
         used[anchor_idx] = True
-
-        def descend(j: int, bound: int) -> bool:
-            # image of pattern element j must be < bound and >= j
-            while j:
-                b = pat_block[j - 1]
-                hb = binding[b]
-                if hb < 0:
-                    break
-                blk = blocks[hb]
-                idx = bisect_left(blk, bound) - 1
-                if idx < need_below[j - 1] or blk[idx] < j:
-                    return False
-                bound = blk[idx]
-                j -= 1
-            else:
-                return True
-            nb = need_below[j - 1]
-            for hbi, blk in enumerate(blocks):
-                if used[hbi] or len(blk) <= nb:
-                    continue
-                idx = bisect_left(blk, bound) - 1
-                if idx < nb or blk[idx] < j:
-                    continue
-                binding[b] = hbi
-                used[hbi] = True
-                if descend(j - 1, blk[idx]):
-                    return True
-                used[hbi] = False
-            binding[b] = -1
-            return False
-
-        found = descend(k - 1, anchor_blk[-1])
-        del descend  # it refers to itself through its cell: break the cycle
-        return found
+        return _descend(k - 1, anchor_blk[-1], pat_block, need_below, blocks, binding, used)
 
     return check
+
+
+def _descend(
+    j: int, bound: int, pat_block: tuple[int, ...], need_below: list[int],
+    blocks: list[list[int]], binding: list[int], used: list[bool],
+) -> bool:
+    """Can pattern elements 1..j take images below ``bound``, element i's
+    at least i? binding and used are as in ``containment._extend``, and
+    need_below[i - 1] counts the elements of i's pattern block below i."""
+    while j:
+        b = pat_block[j - 1]
+        hb = binding[b]
+        if hb < 0:
+            break
+        blk = blocks[hb]
+        idx = bisect_left(blk, bound) - 1
+        if idx < need_below[j - 1] or blk[idx] < j:
+            return False
+        bound = blk[idx]
+        j -= 1
+    else:
+        return True
+    nb = need_below[j - 1]
+    for hbi, blk in enumerate(blocks):
+        if used[hbi] or len(blk) <= nb:
+            continue
+        idx = bisect_left(blk, bound) - 1
+        if idx < nb or blk[idx] < j:
+            continue
+        binding[b] = hbi
+        used[hbi] = True
+        if _descend(j - 1, blk[idx], pat_block, need_below, blocks, binding, used):
+            return True
+        used[hbi] = False
+    binding[b] = -1
+    return False
 
 
 def _prefixes(

@@ -1,0 +1,31 @@
+"""Smoke test of scripts/bench_layers.py at its smallest size."""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_layers.py"
+
+
+def test_bench_layers_writes_its_report(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location("bench_layers", SCRIPT)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    out = tmp_path / "BENCH_layers.json"
+    assert bench.main(["--repeat", "1", "--walk-n", "4", "--out", str(out)]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert set(report["metrics"]) == {
+        "parse.us", "find_occurrence.us.p50", "find_occurrence.us.p99",
+        "walk.ns_per_node", "dacp_contains.us",
+    }
+    assert all(value > 0 for value in report["metrics"].values())
+    counts = report["counts"]
+    # 12..40 elements at two block-count levels, against the 72 patterns of [3..5]
+    assert counts["hosts"] == 58 and counts["queries"] == 58 * 72
+    assert 0 < counts["query_hits"] < counts["queries"]
+    # a pattern of 3 or more elements keeps every partition of [m], m < 3
+    assert counts["walk_nodes"] > 72 * (1 + 1 + 2)
+    assert counts["dacp_checks"] == 20 * 20 and 0 < counts["dacp_hits"] < 400
+    assert "find_occurrence.us.p50" in capsys.readouterr().out

@@ -301,6 +301,18 @@ class TestConjectures:
         rc, _, err = run(capsys, "conjectures", "--n-from", "1", "--n-to", "4", "--no-cache")
         assert rc == 1
 
+    def test_repeated_pattern_scanned_once(self, capsys):
+        # 21/3 is 12/3 in canonical form; the first-seen order is kept
+        rc, out, err = run(
+            capsys, "conjectures", "--pattern", "123", "--pattern", "1/2", "--pattern", "123",
+            "--pattern", "12/3", "--pattern", "21/3", "--n-from", "2", "--n-to", "3", "--no-cache",
+        )
+        assert rc == 0
+        taus = [line.split(",")[0] for line in out.strip().splitlines()[1:]]
+        assert taus == ["123", "123", "1/2", "1/2", "12/3", "12/3"]
+        assert err.count("conjecture 5 tau=123:") == 1
+        assert err.count("conjecture 5 tau=12/3:") == 1
+
 
 class TestBounds:
     def test_sandwich_report(self, capsys):
@@ -440,6 +452,22 @@ def test_scan_flags_checked(capsys, command, flags, code, message):
         capsys, *command, "--n-from", "1", "--n-to", "4", "--no-cache", *flags
     )
     assert rc == code and out == "" and message in err
+
+
+@pytest.mark.parametrize(
+    ("command", "first", "second"),
+    [
+        (["bounds", "--shape", "2,2", "--all-k", "1"], "--all-k", "--shape"),
+        (["bounds", "--all-k", "3", "--shape", "2,2"], "--shape", "--all-k"),
+        (["conjectures", "--all-k", "3", "--pattern", "12"], "--pattern", "--all-k"),
+        (["conjectures", "--pattern", "12", "--all-k", "3"], "--all-k", "--pattern"),
+    ],
+    ids=["bounds-shape-first", "bounds-all-k-first", "conjectures-all-k-first", "conjectures-pattern-first"],
+)
+def test_conflicting_family_flags_exit_1(capsys, command, first, second):
+    rc, out, err = run(capsys, *command, "--n-from", "1", "--n-to", "5", "--no-cache")
+    assert rc == 1 and out == ""
+    assert f"argument {first}: not allowed with argument {second}" in err
 
 
 @pytest.mark.parametrize(

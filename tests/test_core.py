@@ -3,7 +3,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from partpat import (
     IntervalCut,
@@ -20,6 +20,8 @@ from partpat import (
     sba,
     standardize,
 )
+
+from partpat.core import _parse_fault
 
 from conftest import compositions, partitions_up_to, rgs_key
 
@@ -92,6 +94,36 @@ class TestParse:
     def test_zero_element_rejected(self):
         with pytest.raises(ParseError):
             parse("10,1/2,3,4,5,6,7,8,9,0")
+
+
+@st.composite
+def shuffled_partition_text(draw) -> str:
+    """A valid partition's text with its blocks and their elements shuffled,
+    then perhaps one character replaced."""
+    p = draw(partition_strategy)
+    blocks = [draw(st.permutations(b)) for b in draw(st.permutations(p.blocks))]
+    sep = "," if p.n >= 10 or draw(st.booleans()) else ""
+    text = "/".join(sep.join(map(str, b)) for b in blocks)
+    if text and draw(st.booleans()):
+        i = draw(st.integers(0, len(text) - 1))
+        text = text[:i] + draw(st.sampled_from("0123456789,/a²")) + text[i + 1:]
+    return text
+
+
+class TestParseFault:
+    """``parse`` converts a text with ``int`` and lets the constructor check
+    it; ``_parse_fault`` scans it character by character. They must agree."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(st.text("0123456789,/a²", max_size=12), shuffled_partition_text()))
+    def test_parse_succeeds_iff_no_fault(self, text):
+        fault = _parse_fault(text)
+        if fault is None:
+            parse(text)
+        else:
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert str(err.value) == str(fault) and err.value.position == fault.position
 
 
 class TestFormat:
