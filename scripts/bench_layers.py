@@ -1,4 +1,5 @@
-"""Per-layer timings of partpat's parser and its three containment searches.
+"""Per-layer timings of partpat's parser, its three containment searches and
+its counting DP.
 
     PYTHONPATH=src python3 scripts/bench_layers.py [--repeat 7] [--walk-n 8]
         [--out BENCH_layers.json]
@@ -20,6 +21,16 @@ whole round does.
   levels. The backtracking search is exponential in the host, so its
   hosts are small.
 
+The ``dp`` section times ``count_sequence`` in-process, each call's fastest
+of --repeat, and gives the peak states of a layer of the DP it runs:
+
+- ``k4_n9``: each of the 14 multi-block patterns of [4] to n = 9, their
+  total ``ms``, and ``scan_ms``, the total over one pattern per reversal
+  orbit, which is what ``conjectures --all-k 4`` counts;
+- ``123/45_n11``: the one pattern to n = 11;
+- ``k5_n12``: the 46 multi-block patterns of [5] to n = 12, one call each,
+  in seconds, and the largest peak among them.
+
 The counts (queries, hits, nodes, checks) depend only on --walk-n, so two
 builds timed with the same flags did the same work. The
 report goes to --out as JSON and, in short, to stdout. The script uses the
@@ -40,13 +51,16 @@ from functools import partial
 from partpat import (
     SetPartition,
     all_partitions,
+    closed_form,
+    count_sequence,
     dacp_contains,
     find_occurrence,
     format_partition,
     parse,
+    reverse,
     to_dacp,
 )
-from partpat.enumeration import _walk_sequence
+from partpat.enumeration import _dp_sequence, _walk_sequence
 
 clock = time.perf_counter_ns
 SEED = 1
@@ -85,6 +99,39 @@ def percentile(ordered: list[int], q: float) -> int:
     return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
 
 
+def peak_states(tau: SetPartition, n: int) -> int:
+    """The most states in a layer of the DP that ``count_sequence`` runs."""
+    return max(states for _, states, _ in _dp_sequence(tau, n))
+
+
+def measure_dp(repeat: int) -> dict:
+    k4 = [p for p in all_partitions(4) if not closed_form(p)]
+    k4_ns = fastest([partial(count_sequence, p, 9) for p in k4], repeat)
+    scan: dict[str, int] = {}  # a scan counts the first pattern of each reversal orbit
+    for p, ns in zip(k4, k4_ns):
+        scan.setdefault(min(str(p), str(reverse(p))), ns)
+    deep = parse("123/45")
+    k5 = [p for p in all_partitions(5) if not closed_form(p)]
+    start = clock()
+    for p in k5:
+        count_sequence(p, 12)
+    k5_ns = clock() - start
+    return {
+        "k4_n9": {
+            "patterns": {
+                str(p): {"ms": ns / 1e6, "peak_states": peak_states(p, 9)} for p, ns in zip(k4, k4_ns)
+            },
+            "ms": sum(k4_ns) / 1e6,
+            "scan_ms": sum(scan.values()) / 1e6,
+        },
+        "123/45_n11": {
+            "ms": fastest([partial(count_sequence, deep, 11)], repeat)[0] / 1e6,
+            "peak_states": peak_states(deep, 11),
+        },
+        "k5_n12": {"s": k5_ns / 1e9, "peak_states": max(peak_states(p, 12) for p in k5)},
+    }
+
+
 def measure(repeat: int, walk_n: int) -> dict:
     rng = random.Random(SEED)
     texts = hosts(rng, 12, 40, 2)
@@ -119,6 +166,7 @@ def measure(repeat: int, walk_n: int) -> dict:
             "dacp_checks": len(checks),
             "dacp_hits": sum(dacp_contains(g, p) for g, p in checks),
         },
+        "dp": measure_dp(repeat),
         "config": {
             "seed": SEED,
             "repeat": repeat,
@@ -143,6 +191,11 @@ def main(argv: list[str] | None = None) -> int:
         fh.write("\n")
     for name, value in report["metrics"].items():
         print(f"{name:24} {value:10.3f}")
+    dp = report["dp"]
+    print(f"{'dp.k4_n9.ms':24} {dp['k4_n9']['ms']:10.3f}")
+    print(f"{'dp.k4_n9.scan_ms':24} {dp['k4_n9']['scan_ms']:10.3f}")
+    print(f"{'dp.123/45_n11.ms':24} {dp['123/45_n11']['ms']:10.3f}")
+    print(f"{'dp.k5_n12.s':24} {dp['k5_n12']['s']:10.3f}")
     return 0
 
 

@@ -31,6 +31,7 @@ from .core import (
     parse,
     permeability,
     permeability_oracle,
+    reverse,
 )
 from .dacp import DacpError, dacp_from_obj, dacp_to_obj, from_dacp, to_dacp
 from .enumeration import (
@@ -87,8 +88,9 @@ def _scan_counter(args: argparse.Namespace, patterns: Sequence[SetPartition]):
     the scan subcommands.
 
     A cache miss is counted by the oracle under ``--oracle``; otherwise each
-    pattern is counted once per scan: the first miss asks ``count_sequence``
-    for every n up to ``--n-to``. The cache is ``--cache``, else
+    reversal orbit is counted once per scan: a pattern and its reverse have
+    one sequence, and the first miss of either asks ``count_sequence`` for
+    every n up to ``--n-to``. The cache is ``--cache``, else
     ``$PARTPAT_CACHE``, and none under ``--no-cache``.
     """
     # --workers has no effect but keeps its range check, so every command line exits as before
@@ -120,7 +122,7 @@ def _scan_counter(args: argparse.Namespace, patterns: Sequence[SetPartition]):
             seq = sequences.get(text)
             if seq is None or len(seq) <= n:
                 seq = count_sequence(tau, max(n, args.n_to))
-                sequences[text] = seq
+                sequences[text] = sequences[format_partition(reverse(tau))] = seq
             record = CountRecord(text, n, seq[n])
         if cache is not None:
             cache.add(record)
@@ -177,7 +179,16 @@ def _emit_rows(rows: list[dict[str, Any]], columns: Sequence[str], args: argpars
 def _cmd_count(args: argparse.Namespace) -> int:
     tau = parse(args.pattern)
     count = _scan_counter(args, (tau,))
-    records = [count(tau, n) for n in range(args.n_from, args.n_to + 1)]
+    records: list[CountRecord] = []
+    try:
+        for n in range(args.n_from, args.n_to + 1):
+            records.append(count(tau, n))
+    except CeilingError as exc:  # the counts below a refused DP layer are exact: print them
+        text = format_partition(tau)
+        records += [CountRecord(text, m, exc.counts[m]) for m in range(n, len(exc.counts))]
+        if records:
+            _emit_rows(_scan_rows(tau, records), SCAN_COLUMNS, args)
+        raise
     _emit_rows(_scan_rows(tau, records), SCAN_COLUMNS, args)
     return EXIT_OK
 
@@ -399,6 +410,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             except ValueError:
                 raise ValueError(f"malformed shape {text!r}; expected e.g. 2,2")
             shapes.append(LayeredShape(parts))
+        # a repeated shape is scanned and reported once, where it first appears
+        shapes = list(dict.fromkeys(shapes))
     elif args.all_k is not None:
         shapes = [
             LayeredShape(c)

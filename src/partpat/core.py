@@ -28,6 +28,7 @@ __all__ = [
     "parse",
     "permeability",
     "permeability_oracle",
+    "reverse",
     "sba",
     "standardize",
 ]
@@ -253,6 +254,12 @@ def format_partition(p: SetPartition) -> str:
     if p.n >= 10:
         return "/".join(",".join(map(str, b)) for b in p.blocks)
     return "/".join("".join(map(str, b)) for b in p.blocks)
+
+
+def reverse(p: SetPartition) -> SetPartition:
+    """The mirror image of p, element e becoming n + 1 - e: a partition
+    avoids tau exactly when its reverse avoids reverse(tau)."""
+    return SetPartition(p.n, [[p.n + 1 - e for e in b] for b in p.blocks])
 
 
 def standardize(elements: Iterable[int], host: SetPartition) -> SetPartition:

@@ -17,9 +17,11 @@ by one of two exact methods:
   and relabelled so that prefixes with the same future share a state)
   from layer to layer.
 
-The DP is fast, but its memory grows with the number of states, so a
-layer that outgrows a fixed cap (see ``count_sequence``) raises
-``CeilingError`` instead of counting in unbounded memory.
+A pattern and its reverse share one sequence, and ``count_sequence`` runs
+the cheaper of their two DPs. The DP is fast, but its memory grows with the
+number of states, so a layer that outgrows a fixed cap raises
+``CeilingError``, carrying the exact counts below it, instead of counting
+in unbounded memory.
 
 One walker, ``_prefixes``, visits the restricted-growth-string tree.
 Element i either joins an existing block or opens a new one, so every
@@ -47,12 +49,12 @@ import math
 import sys
 from bisect import bisect_left
 from collections import defaultdict
-from itertools import permutations, product
+from itertools import islice, permutations, product
 from pathlib import Path
 from typing import Callable, Iterator
 
 from .containment import _least_image
-from .core import SetPartition, _Value, format_partition, sba
+from .core import SetPartition, _Value, format_partition, reverse, sba
 from .formulas import block_recursion
 
 __all__ = [
@@ -81,9 +83,20 @@ DEFAULT_ORACLE_CEILING = 10
 # up to the default enumeration ceiling n = 13.
 _DP_MAX_STATES = 200_000
 
+# count_sequence runs the DPs of a pattern and of its reverse this deep, then
+# goes on with the one that has met fewer signatures, which ranks their full
+# cost better than states do: at layer 7, 134/25 holds fewer states than its
+# reverse, whose DP is yet the cheaper one.
+_PROBE_DEPTH = 4
+
 
 class CeilingError(RuntimeError):
-    """A configured resource ceiling would be exceeded."""
+    """A configured resource ceiling would be exceeded; ``counts`` holds the
+    exact A_0..A_m-1 below a refused DP layer m."""
+
+    def __init__(self, message: str, counts: list[int] | None = None) -> None:
+        super().__init__(message)
+        self.counts = counts or []
 
 
 class CountRecord(_Value):
@@ -293,10 +306,10 @@ def _merge_exclusions(excls: list[frozenset[int]], free: int) -> list[frozenset[
     return minimal
 
 
-def _dp_layers(tau: SetPartition, n_max: int, max_states: float = math.inf) -> Iterator[int]:
-    """Forward transfer DP over signature-set states: yields A_m for
-    m = 1..n_max, and raises ``CeilingError`` once a layer holds more than
-    ``max_states`` states.
+def _dp_layers(tau: SetPartition, n_max: int, max_states: float = math.inf) -> Iterator[tuple]:
+    """Forward transfer DP over signature-set states: yields (A_m, states in
+    layer m, distinct signatures met by layer m) for m = 1..n_max, and
+    raises ``CeilingError`` once a layer holds more than ``max_states`` states.
 
     A state is (unnamed live blocks, named blocks, signature set), with the
     named blocks relabelled 0..r-1 by their roles. Besides merging
@@ -309,7 +322,8 @@ def _dp_layers(tau: SetPartition, n_max: int, max_states: float = math.inf) -> I
     """
     steps, free = _transfer_tables(tau)
     k = tau.n
-    last_opens, last_pos = steps[k - 1][0], steps[k - 1][1]
+    top = k - 1
+    last_opens, last_pos = steps[top][0], steps[top][1]
 
     def advance(sigs: frozenset, b: int) -> set | None:
         """Signatures after the next element joins block b; None when that
@@ -334,10 +348,12 @@ def _dp_layers(tau: SetPartition, n_max: int, max_states: float = math.inf) -> I
             out.add((j + 1, hosts, excl if free_after else _NONE))
         return out
 
-    def reduce(sigs) -> list:
+    def reduce(sigs):
         groups: dict[tuple, list[frozenset[int]]] = {}
         for j, hosts, excl in sigs:
             groups.setdefault((j, hosts), []).append(excl)
+        if len(groups) == len(sigs):
+            return sigs
         return [
             (j, hosts, excl)
             for (j, hosts), excls in groups.items()
@@ -346,62 +362,85 @@ def _dp_layers(tau: SetPartition, n_max: int, max_states: float = math.inf) -> I
 
     def settle(raw: set, horizon: int) -> tuple[int, int, bool, frozenset]:
         """(named blocks, named blocks that died, confined, canonical sigs)."""
-        sigs = reduce(s for s in raw if s[0] + horizon >= k)
-        named = {h for _, hosts, excl in sigs for h in (*hosts, *excl)}
-        last = [s for s in sigs if s[0] == k - 1]
+        # every signature has j >= 1, so a horizon of k - 1 keeps them all
+        sigs = reduce(raw if horizon >= top else [s for s in raw if s[0] + horizon >= k])
+        last = [s for s in sigs if s[0] == top]
         confined = bool(last) and last_opens
         if confined:
-            dead = named - last[0][2]
+            dead = {h for _, hosts, excl in sigs for h in (*hosts, *excl)} - last[0][2]
         else:
             dead = {hosts[last_pos] for _, hosts, _ in last}
         if dead:
             sigs = reduce(
-                (j, hosts, excl - dead) for j, hosts, excl in sigs if dead.isdisjoint(hosts)
+                [(j, hosts, excl - dead) for j, hosts, excl in sigs if dead.isdisjoint(hosts)]
             )
-        roles: dict[int, list[tuple[int, int]]] = {}
+        roles: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
         for j, hosts, excl in sigs:
             for i, h in enumerate(hosts):
-                roles.setdefault(h, []).append((j, i))
+                roles[h].append((j, i))
             for h in excl:
-                roles.setdefault(h, []).append((j, -1))
-        order = sorted(roles, key=lambda h: (sorted(roles[h]), h))
-        label = {h: i for i, h in enumerate(order)}
+                roles[h].append((j, -1))
+        for held in roles.values():
+            held.sort()
+        order = sorted(roles, key=lambda h: (roles[h], h))
+        r = len(order)
+        # every state holding a signature shares one copy: a fifth of the memory
+        if order == list(range(r)):
+            return r, len(dead), confined, frozenset([interned.setdefault(s, s) for s in sigs])
+        relabel = dict(zip(order, range(r))).__getitem__
         canon = []
         for j, hosts, excl in sigs:
-            sig = (j, tuple(label[h] for h in hosts), frozenset(label[h] for h in excl))
-            # every state holding a signature shares one copy: a fifth of the memory
+            sig = (j, tuple(map(relabel, hosts)), frozenset(map(relabel, excl)) if excl else _NONE)
             canon.append(interned.setdefault(sig, sig))
-        return len(order), len(dead), confined, frozenset(canon)
+        return r, len(dead), confined, frozenset(canon)
 
+    def move(sigs: frozenset, b: int, horizon: int) -> tuple | None:
+        """settle(advance(sigs, b)), or None; kept while the horizon cuts no
+        signature, as a signature set recurs across those layers."""
+        if (sigs, b) in moves:
+            return moves[sigs, b]
+        raw = advance(sigs, b)
+        moved = None if raw is None else settle(raw, horizon)
+        if horizon >= top:
+            moves[sigs, b] = moved
+        return moved
+
+    moves: dict[tuple[frozenset, int], tuple | None] = {}
     interned: dict[tuple, tuple] = {}
     layer: dict[tuple[int, int, frozenset], int] = {(0, 0, _NONE): 1}
+    counts = [1]
     for m in range(1, n_max + 1):
         horizon = n_max - m
+        if horizon == top - 1:
+            moves.clear()
         nxt: dict[tuple[int, int, frozenset], int] = defaultdict(int)
         for (unnamed, named, sigs), mult in layer.items():
             live = unnamed + named
-            for b in range(named):
-                raw = advance(sigs, b)
-                if raw is not None:
-                    r, dead, confined, canon = settle(raw, horizon)
-                    nxt[0 if confined else live - dead - r, r, canon] += mult
-            # an unnamed existing block and a new block give the same signatures
-            raw = advance(sigs, named)
-            if raw is not None:
-                r, dead, confined, canon = settle(raw, horizon)
-                if confined:
-                    nxt[0, r, canon] += mult * (unnamed + 1)
-                else:
-                    if unnamed:
-                        nxt[live - dead - r, r, canon] += mult * unnamed
-                    nxt[live + 1 - dead - r, r, canon] += mult
+            for b in range(named + 1):
+                moved = move(sigs, b, horizon)
+                if moved is None:
+                    continue
+                r, dead, confined, canon = moved
+                # b = named stands for each unnamed block, which stays live, and a new block
+                for grown, ways in ((0, 1),) if b < named else ((0, unnamed), (1, 1)):
+                    if ways:
+                        nxt[0 if confined else live + grown - dead - r, r, canon] += mult * ways
             if len(nxt) > max_states:
-                raise CeilingError(
-                    f"DP state cap {max_states} exceeded by {format_partition(tau)}"
-                    f" at layer m={m} (n={n_max})"
-                )
+                raise CeilingError(f"DP state cap {max_states} exceeded at layer m={m}", counts)
         layer = nxt
-        yield sum(layer.values())
+        counts.append(sum(layer.values()))
+        yield counts[-1], len(layer), len(interned)
+
+
+def _dp_sequence(tau: SetPartition, n_max: int) -> Iterator[tuple]:
+    """``_dp_layers`` of tau or of its reverse, whichever has met fewer
+    signatures by layer _PROBE_DEPTH; a tie keeps tau. The probe's layers
+    are kept, not recounted."""
+    dps = [_dp_layers(t, n_max, _DP_MAX_STATES) for t in dict.fromkeys((tau, reverse(tau)))]
+    heads = [list(islice(dp, _PROBE_DEPTH)) for dp in dps]
+    best = min(range(len(dps)), key=lambda i: heads[i][-1][2] if heads[i] else 0)
+    yield from heads[best]
+    yield from dps[best]
 
 
 def _validate_args(tau: SetPartition, n: int) -> None:
@@ -423,16 +462,24 @@ def count_sequence(tau: SetPartition, n_max: int) -> list[int]:
     A one-block pattern of [k] is counted in closed form: by the block
     recursion for k >= 2, and for k = 1 as 1, 0, 0, ..., since every
     nonempty partition contains the pattern 1. Any other pattern is counted
-    by the transfer DP. A pattern that does not compress enough to count in
-    bounded memory, one whose DP layer outgrows ``_DP_MAX_STATES`` (200,000)
-    states, raises ``CeilingError`` naming the pattern, the layer and the cap.
+    by the transfer DP of tau or of its reverse, which share one sequence
+    but whose DPs can differ tenfold in size: both run 4 layers, and the one
+    that has met fewer distinct signatures goes on. A pattern whose DP layer
+    outgrows ``_DP_MAX_STATES`` (200,000) states raises ``CeilingError``
+    naming the pattern, the layer and the cap, with the exact counts below.
     """
     _validate_args(tau, n_max)
     if closed_form(tau):
         if tau.n == 1:
             return [1] + [0] * n_max
         return block_recursion(tau.n, max(n_max, 1))[: n_max + 1]
-    return [1, *_dp_layers(tau, n_max, _DP_MAX_STATES)]
+    try:
+        return [1, *(count for count, _, _ in _dp_sequence(tau, n_max))]
+    except CeilingError as exc:  # name tau, whichever direction was counted
+        at = f"at layer m={len(exc.counts)} (n={n_max})"
+        raise CeilingError(
+            f"DP state cap {_DP_MAX_STATES} exceeded by {format_partition(tau)} {at}", exc.counts
+        ) from None
 
 
 def count_avoiders(tau: SetPartition, n: int) -> CountRecord:

@@ -28,4 +28,13 @@ def test_bench_layers_writes_its_report(tmp_path, capsys):
     # a pattern of 3 or more elements keeps every partition of [m], m < 3
     assert counts["walk_nodes"] > 72 * (1 + 1 + 2)
     assert counts["dacp_checks"] == 20 * 20 and 0 < counts["dacp_hits"] < 400
-    assert "find_occurrence.us.p50" in capsys.readouterr().out
+    dp = report["dp"]
+    k4 = dp["k4_n9"]
+    # 14 multi-block patterns of [4] in 10 reversal orbits
+    assert len(k4["patterns"]) == 14 and 0 < k4["scan_ms"] < k4["ms"]
+    assert all(row["ms"] > 0 and row["peak_states"] > 0 for row in k4["patterns"].values())
+    assert k4["patterns"]["1/2/3/4"]["peak_states"] < k4["patterns"]["14/23"]["peak_states"]
+    assert dp["123/45_n11"]["ms"] > 0 and dp["123/45_n11"]["peak_states"] > 0
+    assert dp["k5_n12"]["s"] > 0 and dp["k5_n12"]["peak_states"] > 1000
+    out = capsys.readouterr().out
+    assert "find_occurrence.us.p50" in out and "dp.k4_n9.scan_ms" in out

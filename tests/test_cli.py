@@ -9,7 +9,9 @@ import sys
 import pytest
 
 import partpat.cli as cli
+from partpat import all_partitions
 from partpat.cli import main
+from partpat.enumeration import _walk_sequence
 
 
 def run(capsys, *argv):
@@ -301,6 +303,29 @@ class TestConjectures:
         rc, _, err = run(capsys, "conjectures", "--n-from", "1", "--n-to", "4", "--no-cache")
         assert rc == 1
 
+    def test_all_k4_counts_each_reversal_orbit_once(self, capsys, monkeypatch):
+        counted = []
+        real = cli.count_sequence
+
+        def spy(tau, n_max):
+            counted.append(str(tau))
+            return real(tau, n_max)
+
+        monkeypatch.setattr(cli, "count_sequence", spy)
+        rc, out, _ = run(capsys, "conjectures", "--all-k", "4", "--n-from", "1", "--n-to", "9", "--no-cache")
+        assert rc == 0
+        # 15 patterns: the block 1234 in closed form, 6 multi-block patterns
+        # that are their own reverse, and 4 orbits of two, each counted once
+        assert counted == [
+            "1234", "123/4", "124/3", "12/34", "12/3/4", "13/24", "13/2/4",
+            "14/23", "1/23/4", "14/2/3", "1/2/3/4",
+        ]
+        rows = [line.split(",")[:3] for line in out.strip().splitlines()[1:]]
+        assert len(rows) == 15 * 9
+        for tau in all_partitions(4):
+            walk = _walk_sequence(tau, 9)
+            assert [r[2] for r in rows if r[0] == str(tau)] == [str(a) for a in walk[1:]], str(tau)
+
     def test_repeated_pattern_scanned_once(self, capsys):
         # 21/3 is 12/3 in canonical form; the first-seen order is kept
         rc, out, err = run(
@@ -332,6 +357,19 @@ class TestBounds:
         assert rc == 0
         taus = {line.split(",")[0] for line in out.strip().splitlines()[1:]}
         assert taus == {"12", "123", "1/23", "12/3"}
+
+    def test_repeated_shape_scanned_once(self, capsys):
+        # " 2, 2" parses to the shape 2,2; the first-seen order is kept
+        rc, out, _ = run(
+            capsys, "bounds", "--shape", "2,2", "--shape", "1,2", "--shape", " 2, 2",
+            "--shape", "2,2", "--n-from", "4", "--n-to", "5", "--no-cache",
+        )
+        assert rc == 0
+        rows = [line.split(",")[:4] for line in out.strip().splitlines()[1:]]
+        assert rows == [
+            ["12/34", "4", "2", "4"], ["12/34", "4", "2", "5"],
+            ["1/23", "3", "2", "4"], ["1/23", "3", "2", "5"],
+        ]
 
     def test_malformed_shape(self, capsys):
         rc, _, err = run(

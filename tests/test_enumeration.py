@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from pathlib import Path
@@ -28,18 +29,37 @@ from partpat import (
     uniform_partitions,
 )
 from partpat import cli, enumeration
-from partpat.enumeration import _dp_layers, _walk_sequence
+from partpat.enumeration import _dp_layers, _dp_sequence, _walk_sequence
 
 from conftest import brute_contains, cached_count, compositions, patterns_of, rgs_key
 
 
 def dp_sequence(tau, n_max):
-    return [1, *_dp_layers(tau, n_max)]
+    return [1, *(count for count, _, _ in _dp_layers(tau, n_max))]
 
 
 def reverse(tau):
     k = tau.n
     return SetPartition(k, tuple(tuple(k + 1 - e for e in b) for b in tau.blocks))
+
+
+@functools.lru_cache(maxsize=None)
+def dp_run(text, n_max):
+    """The sequence and the states per layer of the DP of one direction."""
+    layers = list(_dp_layers(parse(text), n_max))
+    return [1, *(count for count, _, _ in layers)], [states for _, states, _ in layers]
+
+
+def reversal_pairs():
+    """Every multi-block pattern of [<= 5] that is not its own reverse, with
+    its reverse, one pair per orbit."""
+    seen = set()
+    for k in range(1, 6):
+        for tau in patterns_of(k):
+            rev = reverse(tau)
+            if len(tau.blocks) > 1 and rev != tau and tau not in seen:
+                seen.add(rev)
+                yield tau, rev
 
 
 class TestCountAvoiders:
@@ -103,9 +123,25 @@ class TestCountSequence:
         with pytest.raises(CeilingError) as refused:
             count_sequence(parse("12/34"), 9)
         assert str(refused.value) == text
-        rc = cli.main(["count", "--pattern", "12/34", "--n-from", "1", "--n-to", "9", "--no-cache"])
+        # the counts below the refused layer are exact, whatever n_max is
+        assert refused.value.counts == dp_sequence(parse("12/34"), 6)
+        args = ["count", "--pattern", "12/34", "--n-to", "9", "--no-cache"]
+        rc = cli.main([*args, "--n-from", "1"])
         out, err = capsys.readouterr()
-        assert rc == 3 and out == "" and err == f"ceiling: {text}\n"
+        assert rc == 3 and err == f"ceiling: {text}\n"
+        assert [line.split(",")[1:3] for line in out.splitlines()[1:]] == [
+            ["1", "1"], ["2", "2"], ["3", "5"], ["4", "14"], ["5", "41"], ["6", "122"],
+        ]
+        # with no exact row in the range, nothing is printed
+        rc = cli.main([*args, "--n-from", "7"])
+        assert rc == 3 and capsys.readouterr() == ("", f"ceiling: {text}\n")
+        # the message names the pattern asked for when its reverse is counted:
+        # 14/23/5 outgrows 50 states in layer 6, the counted 1/25/34 in layer 7
+        monkeypatch.setattr(enumeration, "_DP_MAX_STATES", 50)
+        with pytest.raises(CeilingError) as refused:
+            count_sequence(parse("14/23/5"), 12)
+        assert str(refused.value) == "DP state cap 50 exceeded by 14/23/5 at layer m=7 (n=12)"
+        assert refused.value.counts == dp_run("1/25/34", 12)[0][:7]
         # a pattern whose layers stay under the cap is counted
         assert count_sequence(parse("14/2/3"), 9) == dp_sequence(parse("14/2/3"), 9)
 
@@ -131,9 +167,21 @@ class TestCountSequence:
         assert seq[5] == 41 != math.comb(10, 5) // 6 == 42
 
     def test_reversal_symmetry_for_patterns_of_5(self):
-        for tau in patterns_of(5):
-            rev = reverse(tau)
-            assert cached_count(str(tau), 10) == cached_count(str(rev), 10), (str(tau), str(rev))
+        # the two DPs of a pattern and its reverse share no state, so each
+        # checks the other, beyond the reach of the oracle and the walk
+        for tau, rev in reversal_pairs():
+            assert dp_run(str(tau), 12)[0] == dp_run(str(rev), 12)[0], (str(tau), str(rev))
+
+    @pytest.mark.parametrize(
+        ("larger", "smaller"),
+        [("134/25", "14/235"), ("14/23/5", "1/25/34"), ("145/23", "125/34"), ("13/24/5", "1/24/35")],
+    )
+    def test_count_sequence_counts_the_cheaper_direction(self, larger, smaller):
+        _, cheap_states = dp_run(smaller, 12)
+        assert max(cheap_states) < max(dp_run(larger, 12)[1])
+        for tau in (larger, smaller):
+            layers = list(_dp_sequence(parse(tau), 12))
+            assert [states for _, states, _ in layers] == cheap_states, tau
 
 
 class TestWilfClass:
