@@ -20,6 +20,8 @@ whole round does.
   pattern of [3..4] in every host of 5..8 elements at five block-count
   levels. The backtracking search is exponential in the host, so its
   hosts are small.
+- ``dacp_roundtrip.us``: mean microseconds per ``from_dacp(to_dacp(h))``
+  over the parsed hosts of 12..40 elements.
 
 The ``dp`` section times ``count_sequence`` in-process, each call's fastest
 of --repeat, and gives the peak states of a layer of the DP it runs:
@@ -56,6 +58,7 @@ from partpat import (
     dacp_contains,
     find_occurrence,
     format_partition,
+    from_dacp,
     parse,
     reverse,
     to_dacp,
@@ -93,6 +96,10 @@ def fastest(calls: list, repeat: int) -> list[int]:
             call()
             best[i] = min(best[i], clock() - start)
     return best
+
+
+def roundtrip(h: SetPartition) -> SetPartition:
+    return from_dacp(to_dacp(h))
 
 
 def percentile(ordered: list[int], q: float) -> int:
@@ -148,6 +155,7 @@ def measure(repeat: int, walk_n: int) -> dict:
     query_ns = sorted(fastest([partial(find_occurrence, h, p) for h, p in pairs], repeat))
     walk_ns = fastest([partial(_walk_sequence, p, walk_n) for p in patterns], repeat)
     dacp_ns = fastest([partial(dacp_contains, g, p) for g, p in checks], repeat)
+    trip_ns = fastest([partial(roundtrip, h) for h in host_values], repeat)
     nodes = sum(sum(_walk_sequence(p, walk_n)) for p in patterns)
 
     return {
@@ -157,6 +165,7 @@ def measure(repeat: int, walk_n: int) -> dict:
             "find_occurrence.us.p99": percentile(query_ns, 0.99) / 1e3,
             "walk.ns_per_node": sum(walk_ns) / nodes,
             "dacp_contains.us": sum(dacp_ns) / len(checks) / 1e3,
+            "dacp_roundtrip.us": sum(trip_ns) / len(host_values) / 1e3,
         },
         "counts": {
             "hosts": len(texts),

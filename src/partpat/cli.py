@@ -19,9 +19,9 @@ import json
 import math
 import os
 import sys
-from itertools import combinations
+from itertools import combinations, groupby
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .containment import find_occurrence
 from .core import (
@@ -68,7 +68,7 @@ BOUND_COLUMNS = (
 
 
 class FindingError(RuntimeError):
-    """A hard assertion failed; details were already reported."""
+    """A hard assertion failed; ``main`` prints its message, after any details the command printed."""
 
 
 class _UsageError(ValueError):
@@ -90,8 +90,9 @@ def _scan_counter(args: argparse.Namespace, patterns: Sequence[SetPartition]):
     A cache miss is counted by the oracle under ``--oracle``; otherwise each
     reversal orbit is counted once per scan: a pattern and its reverse have
     one sequence, and the first miss of either asks ``count_sequence`` for
-    every n up to ``--n-to``. The cache is ``--cache``, else
-    ``$PARTPAT_CACHE``, and none under ``--no-cache``.
+    every n up to ``--n-to``; a count at or past a refused DP layer raises
+    the refusal. The cache is ``--cache``, else ``$PARTPAT_CACHE``, and
+    none under ``--no-cache``.
     """
     # --workers has no effect but keeps its range check, so every command line exits as before
     cpus = os.cpu_count() or 1
@@ -108,7 +109,7 @@ def _scan_counter(args: argparse.Namespace, patterns: Sequence[SetPartition]):
         raise CeilingError(f"enumeration ceiling {args.enum_ceiling} exceeded by n={args.n_to}")
     path = None if args.no_cache else args.cache or os.environ.get(CACHE_ENV_VAR)
     cache = CountCache(path) if path else None
-    sequences: dict[str, list[int]] = {}
+    sequences: dict[str, tuple[list[int], CeilingError | None]] = {}
 
     def count(tau: SetPartition, n: int) -> CountRecord:
         text = format_partition(tau)
@@ -119,16 +120,35 @@ def _scan_counter(args: argparse.Namespace, patterns: Sequence[SetPartition]):
         if args.oracle:
             record = count_avoiders_oracle(tau, n, ceiling=args.oracle_ceiling)
         else:
-            seq = sequences.get(text)
-            if seq is None or len(seq) <= n:
-                seq = count_sequence(tau, max(n, args.n_to))
-                sequences[text] = sequences[format_partition(reverse(tau))] = seq
+            if text not in sequences:
+                try:
+                    got = count_sequence(tau, args.n_to), None
+                except CeilingError as exc:  # the counts below the refused layer are exact
+                    got = exc.counts, exc
+                sequences[text] = sequences[format_partition(reverse(tau))] = got
+            seq, refused = sequences[text]
+            if n >= len(seq):
+                raise refused
             record = CountRecord(text, n, seq[n])
         if cache is not None:
             cache.add(record)
         return record
 
     return count
+
+
+def _counted(
+    count: Callable[[SetPartition, int], CountRecord], cells: Iterable[tuple[SetPartition, int]]
+) -> tuple[list[CountRecord], CeilingError | None]:
+    """``count(tau, n)`` for each (tau, n) of cells, in order, up to the first
+    CeilingError, and that error or None. The records before it are exact."""
+    records: list[CountRecord] = []
+    try:
+        for tau, n in cells:
+            records.append(count(tau, n))
+    except CeilingError as exc:
+        return records, exc
+    return records, None
 
 
 def _scan_rows(tau: SetPartition, records: Sequence[CountRecord]) -> list[dict[str, Any]]:
@@ -179,17 +199,11 @@ def _emit_rows(rows: list[dict[str, Any]], columns: Sequence[str], args: argpars
 def _cmd_count(args: argparse.Namespace) -> int:
     tau = parse(args.pattern)
     count = _scan_counter(args, (tau,))
-    records: list[CountRecord] = []
-    try:
-        for n in range(args.n_from, args.n_to + 1):
-            records.append(count(tau, n))
-    except CeilingError as exc:  # the counts below a refused DP layer are exact: print them
-        text = format_partition(tau)
-        records += [CountRecord(text, m, exc.counts[m]) for m in range(n, len(exc.counts))]
-        if records:
-            _emit_rows(_scan_rows(tau, records), SCAN_COLUMNS, args)
-        raise
-    _emit_rows(_scan_rows(tau, records), SCAN_COLUMNS, args)
+    records, refused = _counted(count, ((tau, n) for n in range(args.n_from, args.n_to + 1)))
+    if records or refused is None:
+        _emit_rows(_scan_rows(tau, records), SCAN_COLUMNS, args)
+    if refused is not None:
+        raise refused
     return EXIT_OK
 
 
@@ -371,22 +385,27 @@ def _cmd_conjectures(args: argparse.Namespace) -> int:
         raise ValueError("supply --all-k or at least one --pattern")
     count = _scan_counter(args, patterns)
     ns = range(args.n_from, args.n_to + 1)
-    counts = {format_partition(tau): [count(tau, n) for n in ns] for tau in patterns}
-
+    records, refused = _counted(count, ((tau, n) for tau in patterns for n in ns))
+    # patterns are counted in order, so those with records come first
+    counts = {tau: list(recs) for tau, recs in groupby(records, lambda rec: rec.tau)}
+    rows_of = [_scan_rows(tau, counts[format_partition(tau)]) for tau in patterns[: len(counts)]]
     verdicts = []
-    if args.all_k is not None:
-        verdicts.append(_conjecture_one(args.all_k, counts, ns))
-    rows_of = [_scan_rows(tau, counts[format_partition(tau)]) for tau in patterns]
-    for rows in rows_of:
-        verdicts.extend(_conjecture_probes(rows))
+    if refused is None:  # a partial scan prints its exact rows and no verdict
+        if args.all_k is not None:
+            verdicts.append(_conjecture_one(args.all_k, counts, ns))
+        for rows in rows_of:
+            verdicts.extend(_conjecture_probes(rows))
     scan_rows = [row for rows in rows_of for row in rows]
     for v in verdicts:
         scope = f" tau={v['tau']}" if v["tau"] else ""
         print(f"conjecture {v['conjecture']}{scope}: {v['status']} ({v['summary']})", file=sys.stderr)
-    if args.format == "json":
-        _write_report(json.dumps({"verdicts": verdicts, "rows": scan_rows}, indent=2) + "\n", args)
-    else:
-        _emit_rows(scan_rows, SCAN_COLUMNS, args)
+    if scan_rows or refused is None:
+        if args.format == "json":
+            _write_report(json.dumps({"verdicts": verdicts, "rows": scan_rows}, indent=2) + "\n", args)
+        else:
+            _emit_rows(scan_rows, SCAN_COLUMNS, args)
+    if refused is not None:
+        raise refused
     return EXIT_OK
 
 
@@ -427,47 +446,50 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
     patterns = [shape.to_partition() for shape in shapes]
     count = _scan_counter(args, patterns)
+    ns = range(max(args.n_from, 1), args.n_to + 1)
+    records, refused = _counted(count, ((tau, n) for tau in patterns for n in ns))
+    shape_of = {format_partition(tau): shape for tau, shape in zip(patterns, shapes)}
 
     rows = []
     findings = []
-    for shape, tau in zip(shapes, patterns):
+    for rec in records:
+        shape, n = shape_of[rec.tau], rec.n
         k, r, t = shape.k, shape.r, shape.k - shape.r
-        for n in range(args.n_from, args.n_to + 1):
-            if n < 1:
-                continue
-            rec = count(tau, n)
-            ln_count = math.log(rec.count) if rec.count > 0 else None
-            upper = log_upper_bound_layered(k, r, n)
-            lower = None
-            if t == 1:
-                lower = 0.0
-            elif n % t == 0:
-                lower = log_lower_bound_uniform(t, n)
-            within = (
-                ln_count is not None
-                and ln_count <= upper + 1e-9
-                and (lower is None or lower <= ln_count + 1e-9)
+        ln_count = math.log(rec.count) if rec.count > 0 else None
+        upper = log_upper_bound_layered(k, r, n)
+        lower = None
+        if t == 1:
+            lower = 0.0
+        elif n % t == 0:
+            lower = log_lower_bound_uniform(t, n)
+        within = (
+            ln_count is not None
+            and ln_count <= upper + 1e-9
+            and (lower is None or lower <= ln_count + 1e-9)
+        )
+        if not within:
+            findings.append(
+                f"bound violation: tau={rec.tau} n={n} ln_count={_fmt(ln_count)} "
+                f"lower={_fmt(lower)} upper={_fmt(upper)}"
             )
-            if not within:
-                findings.append(
-                    f"bound violation: tau={rec.tau} n={n} ln_count={_fmt(ln_count)} "
-                    f"lower={_fmt(lower)} upper={_fmt(upper)}"
-                )
-            rows.append(
-                {
-                    "tau": rec.tau,
-                    "k": k,
-                    "r": r,
-                    "n": n,
-                    "count": str(rec.count),
-                    "f_ratio": f_ratio(rec) if n >= 2 and rec.count > 0 else None,
-                    "ln_count": ln_count,
-                    "lower_bound": lower,
-                    "upper_bound": upper,
-                    "within": within,
-                }
-            )
-    _emit_rows(rows, BOUND_COLUMNS, args)
+        rows.append(
+            {
+                "tau": rec.tau,
+                "k": k,
+                "r": r,
+                "n": n,
+                "count": str(rec.count),
+                "f_ratio": f_ratio(rec) if n >= 2 and rec.count > 0 else None,
+                "ln_count": ln_count,
+                "lower_bound": lower,
+                "upper_bound": upper,
+                "within": within,
+            }
+        )
+    if rows or refused is None:
+        _emit_rows(rows, BOUND_COLUMNS, args)
+    if refused is not None:  # a partial scan prints its exact rows and no verdict
+        raise refused
     if findings:
         for finding in findings:
             print(finding, file=sys.stderr)
@@ -484,7 +506,6 @@ def _cmd_dacp(args: argparse.Namespace) -> int:
         graph = to_dacp(p)
         print(json.dumps(dacp_to_obj(graph)))
         if args.roundtrip and from_dacp(graph) != p:
-            print("roundtrip mismatch", file=sys.stderr)
             raise FindingError("roundtrip mismatch")
     else:
         text = args.input
@@ -498,7 +519,6 @@ def _cmd_dacp(args: argparse.Namespace) -> int:
         p = from_dacp(graph)
         print(format_partition(p))
         if args.roundtrip and from_dacp(to_dacp(p)) != p:
-            print("roundtrip mismatch", file=sys.stderr)
             raise FindingError("roundtrip mismatch")
     return EXIT_OK
 

@@ -7,12 +7,15 @@ graph is a disjoint union of cliques, one per block. The reverse
 direction recovers the unique partition from any isomorphic copy of such
 a graph: blocks are the complement components and element labels come
 from a linear extension of the edge order (all extensions give the same
-partition).
+partition), found by the same topological sort that detects a cycle.
+Containment is induced-subgraph occurrence, searched on per-vertex
+bitsets of each relation.
 """
 
 from __future__ import annotations
 
-import heapq
+from itertools import combinations
+from operator import index
 from typing import Any, Iterable
 
 from .core import SetPartition, _Value
@@ -36,14 +39,36 @@ class DacpError(ValueError):
 class Dacp(_Value):
     """Digraph container with 1-based vertices; labels matter only up to
     isomorphism for the operations below. May hold an invalid graph until
-    ``validate_dacp`` has accepted it."""
+    ``validate_dacp`` has accepted it. Vertices go through
+    ``operator.index``, so a non-integer raises TypeError.
 
-    __slots__ = _fields = ("n", "edges")
+    ``masks[v]`` is ``(non-adjacent, in-neighbours, out-neighbours)`` of
+    vertex v, each a bitset with bit u set for vertex u. It is built on
+    first use and takes no part in equality, hashing, repr or pickling.
+    """
+
+    __slots__ = ("n", "edges", "masks")
+    _fields = ("n", "edges")
     n: int
     edges: frozenset[tuple[int, int]]
+    masks: list[tuple[int, int, int]]  # built on first use
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]) -> None:
-        self._assign(n, frozenset((int(a), int(b)) for a, b in edges))
+        self._assign(n, frozenset((index(a), index(b)) for a, b in edges))
+
+    def __getattr__(self, name: str) -> Any:
+        # called only while the masks slot is unset, as for SetPartition.block_of
+        if name != "masks":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        n = self.n
+        outs, ins = [0] * (n + 1), [0] * (n + 1)
+        for a, b in self.edges:
+            outs[a] |= 1 << b
+            ins[b] |= 1 << a
+        full = (1 << (n + 1)) - 2
+        value = [(full & ~(1 << v | ins[v] | outs[v]), ins[v], outs[v]) for v in range(n + 1)]
+        object.__setattr__(self, name, value)
+        return value
 
 
 def to_dacp(p: SetPartition) -> Dacp:
@@ -52,31 +77,66 @@ def to_dacp(p: SetPartition) -> Dacp:
     >>> sorted(to_dacp(SetPartition.from_blocks([(1, 3, 4), (2, 5)])).edges)
     [(2, 1), (3, 2), (4, 2), (5, 1), (5, 3), (5, 4)]
     """
-    bo = p.block_of
-    edges = frozenset(
-        (a, b) for a in range(2, p.n + 1) for b in range(1, a) if bo[a] != bo[b]
-    )
-    return Dacp(p.n, edges)
+    pairs = frozenset(combinations(range(p.n, 0, -1), 2))  # every (a, b) with a > b
+    g = object.__new__(Dacp)  # the pairs hold ints already: skip the constructor's coercion
+    g._assign(p.n, pairs.difference(*(combinations(block[::-1], 2) for block in p.blocks)))
+    return g
 
 
-def _complement_components(n: int, adjacent: dict[int, set[int]]) -> list[list[int]]:
-    """Connected components of the non-adjacency graph on 1..n, each sorted."""
+def _scan(g: Dacp) -> tuple[list[list[int]], list[int]]:
+    """Check every invariant of g, raising DacpError naming the first fault:
+    a vertex out of range or a self-loop, in edge order, then a directed
+    cycle, then a complement that is not a union of cliques.
+
+    Returns the complement components, each sorted, in order of least
+    vertex (the blocks, in the graph's own labels), and ``rank[v]``, the
+    place of v in a linear extension of the edge order, lowest first.
+    """
+    n = g.n
+    if n < 0:
+        raise DacpError("negative vertex count")
+    outs: list[list[int]] = [[] for _ in range(n + 1)]
+    ins: list[list[int]] = [[] for _ in range(n + 1)]
+    for a, b in g.edges:
+        if not (1 <= a <= n and 1 <= b <= n):
+            raise DacpError(f"vertex out of range in edge ({a}, {b})")
+        if a == b:
+            raise DacpError(f"self-loop at vertex {a}")
+        outs[a].append(b)
+        ins[b].append(a)
+    # Kahn's sort from the sinks up: an edge a -> b places b below a
+    outdeg = list(map(len, outs))
+    ready = [v for v in range(1, n + 1) if not outdeg[v]]
+    rank = [0] * (n + 1)
+    ranked = 0
+    while ready:
+        v = ready.pop()
+        ranked += 1
+        rank[v] = ranked
+        for a in ins[v]:
+            outdeg[a] -= 1
+            if not outdeg[a]:
+                ready.append(a)
+    if ranked != n:
+        raise DacpError("directed cycle")
     unseen = set(range(1, n + 1))
     components: list[list[int]] = []
     while unseen:
-        start = min(unseen)
-        unseen.remove(start)
-        comp = [start]
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            linked = [u for u in unseen if u not in adjacent[v]]
-            for u in linked:
-                unseen.remove(u)
-                comp.append(u)
-                frontier.append(u)
-        components.append(sorted(comp))
-    return components
+        comp = [min(unseen)]
+        unseen.remove(comp[0])
+        for v in comp:  # grows as the search reaches new vertices
+            linked = unseen.difference(outs[v], ins[v])
+            unseen -= linked
+            comp += linked
+        comp.sort()
+        components.append(comp)
+    # every cross-component pair is adjacent, so an edge beyond them lies in a component
+    if len(g.edges) != (n * n - sum(len(c) ** 2 for c in components)) // 2:
+        u, v = next(
+            (u, v) for comp in components for u, v in combinations(comp, 2) if u in outs[v] or u in ins[v]
+        )
+        raise DacpError(f"complement is not a disjoint union of cliques (vertices {u} and {v})")
+    return components, rank
 
 
 def validate_dacp(g: Dacp) -> list[list[int]]:
@@ -85,49 +145,7 @@ def validate_dacp(g: Dacp) -> list[list[int]]:
     Returns the components of the complement graph, each sorted: the
     blocks, in the graph's own labels.
     """
-    if g.n < 0:
-        raise DacpError("negative vertex count")
-    for a, b in g.edges:
-        if not (1 <= a <= g.n and 1 <= b <= g.n):
-            raise DacpError(f"vertex out of range in edge ({a}, {b})")
-        if a == b:
-            raise DacpError(f"self-loop at vertex {a}")
-    if _has_cycle(g):
-        raise DacpError("directed cycle")
-    adjacent: dict[int, set[int]] = {v: set() for v in range(1, g.n + 1)}
-    for a, b in g.edges:
-        adjacent[a].add(b)
-        adjacent[b].add(a)
-    components = _complement_components(g.n, adjacent)
-    for comp in components:
-        for i, u in enumerate(comp):
-            for v in comp[i + 1 :]:
-                if v in adjacent[u]:
-                    raise DacpError(
-                        "complement is not a disjoint union of cliques "
-                        f"(vertices {u} and {v})"
-                    )
-    return components
-
-
-def _has_cycle(g: Dacp) -> bool:
-    out: dict[int, list[int]] = {v: [] for v in range(1, g.n + 1)}
-    indeg = {v: 0 for v in range(1, g.n + 1)}
-    for a, b in g.edges:
-        if not (1 <= a <= g.n and 1 <= b <= g.n) or a == b:
-            return True
-        out[a].append(b)
-        indeg[b] += 1
-    ready = [v for v in indeg if indeg[v] == 0]
-    removed = 0
-    while ready:
-        v = ready.pop()
-        removed += 1
-        for u in out[v]:
-            indeg[u] -= 1
-            if indeg[u] == 0:
-                ready.append(u)
-    return removed != g.n
+    return _scan(g)[0]
 
 
 def from_dacp(g: Dacp) -> SetPartition:
@@ -135,32 +153,15 @@ def from_dacp(g: Dacp) -> SetPartition:
 
     Vertices are ranked by a linear extension of the edge order (an edge
     a -> b places b strictly below a); complement components become the
-    blocks. A final isomorphism check guards the remaining failure mode of
-    inconsistent edges between equivalence classes, which cannot occur in
-    a graph that passed ``validate_dacp`` but is reported distinctly if a
-    caller bypasses validation.
+    blocks. The checks of ``validate_dacp`` leave as many edges as the
+    partition has cross-block pairs, so a final check that each ranked edge
+    is such a pair, a > b in different blocks, guards against inconsistent
+    edges between equivalence classes, which those checks exclude.
     """
-    components = validate_dacp(g)
-    if g.n == 0:
-        return SetPartition(0, ())
-    pointing_at: dict[int, list[int]] = {v: [] for v in range(1, g.n + 1)}
-    outdeg = {v: 0 for v in range(1, g.n + 1)}
-    for a, b in g.edges:
-        pointing_at[b].append(a)
-        outdeg[a] += 1
-    heap = [v for v in outdeg if outdeg[v] == 0]
-    heapq.heapify(heap)
-    rank: dict[int, int] = {}
-    while heap:
-        v = heapq.heappop(heap)
-        rank[v] = len(rank) + 1
-        for a in pointing_at[v]:
-            outdeg[a] -= 1
-            if outdeg[a] == 0:
-                heapq.heappush(heap, a)
+    components, rank = _scan(g)
     partition = SetPartition(g.n, [[rank[v] for v in comp] for comp in components])
-    image = {(rank[a], rank[b]) for a, b in g.edges}
-    if image != to_dacp(partition).edges:
+    bo = partition.block_of
+    if not all(rank[a] > rank[b] and bo[rank[a]] != bo[rank[b]] for a, b in g.edges):
         raise DacpError("inconsistent edges between equivalence classes")
     return partition
 
@@ -168,47 +169,44 @@ def from_dacp(g: Dacp) -> SetPartition:
 def dacp_contains(host: Dacp, pattern: Dacp) -> bool:
     """True iff some induced subgraph of host is isomorphic to pattern.
 
-    Straight backtracking over injective vertex assignments, checking the
-    full edge relation (direction or non-adjacency) against every placed
-    vertex. Works up to isomorphism and is deliberately independent of the
-    partition-side matcher so the two can cross-check each other.
+    Backtracking over injective vertex assignments with forward checking:
+    the host candidates for pattern vertex i are the AND of one relation
+    mask (non-adjacent, in- or out-neighbour) of each host vertex already
+    placed, minus the used vertices. Works up to isomorphism and is
+    deliberately independent of the partition-side matcher so the two can
+    cross-check each other.
     """
     k, n = pattern.n, host.n
     if k > n:
         return False
     if k == 0:
         return True
-    hcode = [[0] * (n + 1) for _ in range(n + 1)]
-    for a, b in host.edges:
-        hcode[a][b] = 1
-        hcode[b][a] = -1
-    pcode = [[0] * (k + 1) for _ in range(k + 1)]
-    for a, b in pattern.edges:
-        pcode[a][b] = 1
-        pcode[b][a] = -1
-    return _place(1, k, n, hcode, pcode, [0] * (k + 1), [False] * (n + 1))
+    pm = pattern.masks
+    # wants[i][j] picks the host mask that the image of pattern vertex j
+    # must have the candidate for i in: 0 none, 1 for i -> j, 2 for j -> i
+    wants = [
+        [1 if pm[i][2] >> j & 1 else 2 if pm[i][1] >> j & 1 else 0 for j in range(1, i)]
+        for i in range(1, k + 1)
+    ]
+    return _place(0, wants, host.masks, [0] * k, (1 << (n + 1)) - 2)
 
 
 def _place(
-    i: int, k: int, n: int, hcode: list[list[int]], pcode: list[list[int]],
-    assigned: list[int], used: list[bool],
+    i: int, wants: list[list[int]], masks: list[tuple[int, int, int]], images: list[int], free: int
 ) -> bool:
-    """Can pattern vertices i..k take unused host vertices, after 1..i - 1
-    took assigned[1:i]? code[a][b] is 1 for an edge a -> b, -1 for b -> a
-    and 0 for none."""
-    if i > k:
+    """Can pattern vertices i + 1.. take host vertices in the bitset free,
+    after 1..i took images[:i]?"""
+    if i == len(wants):
         return True
-    placed = assigned[1:i]
-    want = pcode[i][1:i]
-    for v in range(1, n + 1):
-        if used[v]:
-            continue
-        if list(map(hcode[v].__getitem__, placed)) == want:
-            used[v] = True
-            assigned[i] = v
-            if _place(i + 1, k, n, hcode, pcode, assigned, used):
-                return True
-            used[v] = False
+    candidates = free
+    for j, want in enumerate(wants[i]):
+        candidates &= masks[images[j]][want]
+    while candidates:
+        low = candidates & -candidates
+        images[i] = low.bit_length() - 1
+        if _place(i + 1, wants, masks, images, free ^ low):
+            return True
+        candidates ^= low
     return False
 
 

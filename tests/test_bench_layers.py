@@ -18,7 +18,7 @@ def test_bench_layers_writes_its_report(tmp_path, capsys):
     report = json.loads(out.read_text(encoding="utf-8"))
     assert set(report["metrics"]) == {
         "parse.us", "find_occurrence.us.p50", "find_occurrence.us.p99",
-        "walk.ns_per_node", "dacp_contains.us",
+        "walk.ns_per_node", "dacp_contains.us", "dacp_roundtrip.us",
     }
     assert all(value > 0 for value in report["metrics"].values())
     counts = report["counts"]

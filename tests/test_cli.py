@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import partpat.cli as cli
-from partpat import all_partitions
+from partpat import all_partitions, enumeration
 from partpat.cli import main
 from partpat.enumeration import _walk_sequence
 
@@ -338,6 +338,27 @@ class TestConjectures:
         assert err.count("conjecture 5 tau=123:") == 1
         assert err.count("conjecture 5 tau=12/3:") == 1
 
+    def test_state_cap_prints_the_exact_rows_and_no_verdict(self, capsys, monkeypatch):
+        # 12/34 outgrows a cap of 10 states in layer 7; 123 takes the closed
+        # form, and 1/2 comes after the refusal
+        monkeypatch.setattr(enumeration, "_DP_MAX_STATES", 10)
+        refusal = "ceiling: DP state cap 10 exceeded by 12/34 at layer m=7 (n=9)\n"
+        args = ["conjectures", "--pattern", "123", "--pattern", "12/34", "--pattern", "1/2",
+                "--n-from", "1", "--n-to", "9", "--no-cache"]
+        rc, out, err = run(capsys, *args)
+        assert rc == 3 and err == refusal
+        rows = [line.split(",")[:3] for line in out.strip().splitlines()[1:]]
+        assert [r for r in rows if r[0] != "123"] == [
+            ["12/34", str(n), count] for n, count in zip(range(1, 7), ["1", "2", "5", "14", "41", "122"])
+        ]
+        assert [r[1] for r in rows if r[0] == "123"] == [str(n) for n in range(1, 10)]
+        rc, out, err = run(capsys, *args, "--format", "json")
+        doc = json.loads(out)
+        assert rc == 3 and err == refusal and doc["verdicts"] == [] and len(doc["rows"]) == 9 + 6
+        # with no exact row in the range, nothing is printed
+        rc, out, err = run(capsys, "conjectures", "--pattern", "12/34", "--n-from", "7", "--n-to", "9", "--no-cache")
+        assert (rc, out, err) == (3, "", refusal)
+
 
 class TestBounds:
     def test_sandwich_report(self, capsys):
@@ -392,6 +413,20 @@ class TestBounds:
         )
         assert rc == 1 and out == "" and err == f"error: --all-k must be >= {least}\n"
 
+    def test_state_cap_prints_the_exact_rows(self, capsys, monkeypatch):
+        # 12/34, the shape 2,2, outgrows a cap of 10 states in layer 7
+        monkeypatch.setattr(enumeration, "_DP_MAX_STATES", 10)
+        rc, out, err = run(
+            capsys, "bounds", "--shape", "3", "--shape", "2,2", "--shape", "1,2",
+            "--n-from", "1", "--n-to", "9", "--no-cache",
+        )
+        assert rc == 3 and err == "ceiling: DP state cap 10 exceeded by 12/34 at layer m=7 (n=9)\n"
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [r[:5] for r in rows if r[0] != "123"] == [
+            ["12/34", "4", "2", str(n), count] for n, count in zip(range(1, 7), ["1", "2", "5", "14", "41", "122"])
+        ]
+        assert len(rows) == 9 + 6 and all(r[-1] == "True" for r in rows)
+
     def test_violation_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(
             cli, "count_sequence", lambda tau, n_max: [10**9] * (n_max + 1)
@@ -403,6 +438,18 @@ class TestBounds:
 
 
 class TestDacpCommand:
+    @pytest.mark.parametrize(
+        ("argv", "answers"),
+        [(["to", "134/25"], ["12345"]), (["from", '{"n": 4, "edges": []}'], ["1234", "1/2/3/4"])],
+        ids=["to", "from"],
+    )
+    def test_roundtrip_mismatch_reported_once(self, capsys, monkeypatch, argv, answers):
+        # the converter's answer on the roundtrip call is wrong
+        partitions = iter(map(cli.parse, answers))
+        monkeypatch.setattr(cli, "from_dacp", lambda graph: next(partitions))
+        rc, _, err = run(capsys, "dacp", *argv, "--roundtrip")
+        assert rc == 2 and err == "assertion failure: roundtrip mismatch\n"
+
     def test_to_graph(self, capsys):
         rc, out, _ = run(capsys, "dacp", "to", "134/25", "--roundtrip")
         assert rc == 0
@@ -532,11 +579,11 @@ def _child_env() -> dict[str, str]:
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
-@pytest.mark.parametrize("module", ["concurrent.futures.process", "dataclasses", "inspect"])
+@pytest.mark.parametrize("module", ["concurrent.futures.process", "dataclasses", "inspect", "heapq"])
 def test_cli_import_leaves_the_process_pool_unloaded(module):
     # start-up loads no process pool (counting runs in one process and
     # --workers has no effect), nor the dataclass machinery and the inspect
-    # module it loads
+    # module it loads, nor heapq, which no module needs
     code = f"import sys, partpat.cli; print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=_child_env()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -107,6 +108,36 @@ class TestValidation:
         with pytest.raises(DacpError, match="out of range"):
             validate_dacp(Dacp(2, frozenset({(3, 1)})))
 
+    @pytest.mark.parametrize(
+        ("g", "message"),
+        [
+            (Dacp(3, {(1, 2), (2, 1), (4, 1)}), "vertex out of range in edge (4, 1)"),
+            (Dacp(3, {(3, 1), (2, 2)}), "self-loop at vertex 2"),
+            (Dacp(-1, {(1, 1)}), "negative vertex count"),
+            # the 2-cycle 1 <-> 2, and 1, 2, 3, 4 one complement component holding the edge 4 -> 3
+            (Dacp(4, {(1, 2), (2, 1), (4, 3)}), "directed cycle"),
+            # components {1, 4, 6} and {2, 3, 5} fully joined, each holding an edge:
+            # the component of least vertex is named, not the least pair
+            (
+                Dacp(6, {(max(a, b), min(a, b)) for a in (1, 4, 6) for b in (2, 3, 5)} | {(6, 4), (5, 2)}),
+                "complement is not a disjoint union of cliques (vertices 4 and 6)",
+            ),
+        ],
+        ids=["range-before-cycle", "self-loop-before-clique", "negative-n", "cycle-before-clique", "two-cliques"],
+    )
+    def test_first_of_two_faults_is_named(self, g, message):
+        for check in (validate_dacp, from_dacp):
+            with pytest.raises(DacpError) as fault:
+                check(g)
+            assert str(fault.value) == message
+
+    def test_non_integer_vertex_refused(self):
+        with pytest.raises(TypeError):
+            Dacp(3, [(2.7, 1)])
+        with pytest.raises(TypeError):
+            Dacp(3, [("2", 1)])
+        assert Dacp(3, [(True, 2)]).edges == {(1, 2)}
+
 
 class TestDacpContains:
     def test_transported_containment_example(self):
@@ -126,6 +157,17 @@ class TestDacpContains:
         pattern = to_dacp(parse("1/23"))
         perm = {1: 2, 2: 3, 3: 1}
         assert dacp_contains(host, relabel(pattern, perm))
+
+    def test_relabelled_hosts_agree_with_partition_containment(self):
+        # the bitset search sees only the graph, so host labels must not matter
+        rng = random.Random(12)
+        pats = [(p, to_dacp(p)) for k in range(1, 5) for p in patterns_of(k)]
+        for host in partitions_up_to(6):
+            labels = list(range(1, host.n + 1))
+            rng.shuffle(labels)
+            hg = relabel(to_dacp(host), dict(zip(range(1, host.n + 1), labels)))
+            for p, pg in pats:
+                assert dacp_contains(hg, pg) == contains(host, p), (str(host), labels, str(p))
 
     def test_equivalence_with_partition_containment(self):
         # moderate sweep; the acceptance suite covers hosts up to n = 7

@@ -17,6 +17,7 @@ from partpat import (
     Occurrence,
     SetPartition,
     parse,
+    to_dacp,
 )
 
 # (builder of a fresh value, its repr)
@@ -85,6 +86,17 @@ def test_block_of_is_outside_the_value():
     assert p == q and hash(p) == hash(q)
     assert repr(p) == repr(q)
     assert pickle.loads(pickle.dumps(p)).block_of == p.block_of
+
+
+def test_dacp_masks_are_outside_the_value():
+    g, h = to_dacp(parse("134/25")), to_dacp(parse("134/25"))
+    # vertex 2: 3 -> 2 and 4 -> 2, 2 -> 1, and no edge with 5
+    assert g.masks[2] == (1 << 5, 1 << 3 | 1 << 4, 1 << 1)
+    assert g.masks is g.masks
+    assert g == h and h == g and hash(g) == hash(h)
+    assert repr(g) == repr(h)
+    for clone in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+        assert clone == g and clone.masks == g.masks
 
 
 def test_rgs_is_outside_the_value():
