@@ -53,7 +53,6 @@ from functools import partial
 from partpat import (
     SetPartition,
     all_partitions,
-    closed_form,
     count_sequence,
     dacp_contains,
     find_occurrence,
@@ -112,13 +111,13 @@ def peak_states(tau: SetPartition, n: int) -> int:
 
 
 def measure_dp(repeat: int) -> dict:
-    k4 = [p for p in all_partitions(4) if not closed_form(p)]
+    k4 = [p for p in all_partitions(4) if len(p.blocks) > 1]
     k4_ns = fastest([partial(count_sequence, p, 9) for p in k4], repeat)
     scan: dict[str, int] = {}  # a scan counts the first pattern of each reversal orbit
     for p, ns in zip(k4, k4_ns):
         scan.setdefault(min(str(p), str(reverse(p))), ns)
     deep = parse("123/45")
-    k5 = [p for p in all_partitions(5) if not closed_form(p)]
+    k5 = [p for p in all_partitions(5) if len(p.blocks) > 1]
     start = clock()
     for p in k5:
         count_sequence(p, 12)

@@ -4,7 +4,9 @@ scans, bound audits, graph conversion, and cache management.
 Exit codes: 0 success (a reader that closes stdout early, as ``| head``
 does, ends the run quietly with 0), 1 invalid input (or a file that cannot
 be read or written), 2 hard assertion failure (a desk-scale theorem check or
-internal identity broke), 3 resource ceiling exceeded. Trend verdicts from
+internal identity broke), 3 resource ceiling exceeded: a transfer-DP layer
+over its state cap, n past ``--oracle-ceiling`` under ``--oracle``, or k
+past ``--k-ceiling`` under ``--all-k``. Trend verdicts from
 the conjecture scans never change the exit status; only exact claims do.
 ``conjectures --all-k K`` needs K >= 1 and ``bounds --all-k K``, which
 audits the layered shapes of size 2..K, needs K >= 2.
@@ -19,9 +21,9 @@ import json
 import math
 import os
 import sys
-from itertools import combinations, groupby
+from itertools import combinations
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Sequence
 
 from .containment import find_occurrence
 from .core import (
@@ -40,7 +42,6 @@ from .enumeration import (
     CountCache,
     CountRecord,
     all_partitions,
-    closed_form,
     count_avoiders_oracle,
     count_sequence,
     f_ratio,
@@ -57,7 +58,6 @@ EXIT_ASSERTION = 2
 EXIT_CEILING = 3
 
 CACHE_ENV_VAR = "PARTPAT_CACHE"
-DEFAULT_ENUM_CEILING = 13
 DEFAULT_K_CEILING = 5
 
 SCAN_COLUMNS = ("tau", "n", "count", "f_ratio", "pm", "pm_target", "gap", "gap_times_log_n")
@@ -83,16 +83,19 @@ def _fmt(x: Any) -> str:
     return str(x)
 
 
-def _scan_counter(args: argparse.Namespace, patterns: Sequence[SetPartition]):
-    """Check the scan flags, then return the cache-aware count function of
-    the scan subcommands.
+def _scan(
+    args: argparse.Namespace, patterns: Sequence[SetPartition], ns: range
+) -> tuple[list[list[CountRecord]], CeilingError | None]:
+    """Check the scan flags, then count each pattern at each n of ns, in
+    order: the records of each pattern reached, and None, or the refusal
+    when a count falls at or past a refused DP layer. The scan stops there,
+    and the records before it are exact.
 
     A cache miss is counted by the oracle under ``--oracle``; otherwise each
     reversal orbit is counted once per scan: a pattern and its reverse have
     one sequence, and the first miss of either asks ``count_sequence`` for
-    every n up to ``--n-to``; a count at or past a refused DP layer raises
-    the refusal. The cache is ``--cache``, else ``$PARTPAT_CACHE``, and
-    none under ``--no-cache``.
+    every n up to ``--n-to``. The cache is ``--cache``, else
+    ``$PARTPAT_CACHE``, and none under ``--no-cache``.
     """
     # --workers has no effect but keeps its range check, so every command line exits as before
     cpus = os.cpu_count() or 1
@@ -102,60 +105,45 @@ def _scan_counter(args: argparse.Namespace, patterns: Sequence[SetPartition]):
         raise ValueError("n range is empty or negative")
     if args.oracle_ceiling > 12:
         raise ValueError("oracle ceiling must be <= 12")
-    if args.oracle:
-        if args.n_to > args.oracle_ceiling:
-            raise CeilingError(f"oracle ceiling {args.oracle_ceiling} exceeded by n={args.n_to}")
-    elif args.n_to > args.enum_ceiling and not all(map(closed_form, patterns)):
-        raise CeilingError(f"enumeration ceiling {args.enum_ceiling} exceeded by n={args.n_to}")
+    if args.oracle and args.n_to > args.oracle_ceiling:
+        raise CeilingError(f"oracle ceiling {args.oracle_ceiling} exceeded by n={args.n_to}")
     path = None if args.no_cache else args.cache or os.environ.get(CACHE_ENV_VAR)
     cache = CountCache(path) if path else None
     sequences: dict[str, tuple[list[int], CeilingError | None]] = {}
-
-    def count(tau: SetPartition, n: int) -> CountRecord:
+    counted: list[list[CountRecord]] = []
+    for tau in patterns:
         text = format_partition(tau)
-        if cache is not None:
-            hit = cache.get(text, n)
+        records: list[CountRecord] = []
+        counted.append(records)
+        for n in ns:
+            hit = cache.get(text, n) if cache is not None else None
             if hit is not None:
-                return CountRecord(text, n, hit)
-        if args.oracle:
-            record = count_avoiders_oracle(tau, n, ceiling=args.oracle_ceiling)
-        else:
-            if text not in sequences:
-                try:
-                    got = count_sequence(tau, args.n_to), None
-                except CeilingError as exc:  # the counts below the refused layer are exact
-                    got = exc.counts, exc
-                sequences[text] = sequences[format_partition(reverse(tau))] = got
-            seq, refused = sequences[text]
-            if n >= len(seq):
-                raise refused
-            record = CountRecord(text, n, seq[n])
-        if cache is not None:
-            cache.add(record)
-        return record
-
-    return count
-
-
-def _counted(
-    count: Callable[[SetPartition, int], CountRecord], cells: Iterable[tuple[SetPartition, int]]
-) -> tuple[list[CountRecord], CeilingError | None]:
-    """``count(tau, n)`` for each (tau, n) of cells, in order, up to the first
-    CeilingError, and that error or None. The records before it are exact."""
-    records: list[CountRecord] = []
-    try:
-        for tau, n in cells:
-            records.append(count(tau, n))
-    except CeilingError as exc:
-        return records, exc
-    return records, None
+                records.append(CountRecord(text, n, hit))
+                continue
+            if args.oracle:
+                record = count_avoiders_oracle(tau, n, ceiling=args.oracle_ceiling)
+            else:
+                if text not in sequences:
+                    try:
+                        got = count_sequence(tau, args.n_to), None
+                    except CeilingError as exc:  # the counts below the refused layer are exact
+                        got = exc.counts, exc
+                    sequences[text] = sequences[format_partition(reverse(tau))] = got
+                seq, refused = sequences[text]
+                if n >= len(seq):
+                    return counted, refused
+                record = CountRecord(text, n, seq[n])
+            if cache is not None:
+                cache.add(record)
+            records.append(record)
+    return counted, None
 
 
 def _scan_rows(tau: SetPartition, records: Sequence[CountRecord]) -> list[dict[str, Any]]:
     pm, _ = permeability(tau)
     target = 1.0 - 1.0 / pm if pm >= 1 else None
     rows = []
-    for rec in sorted(records, key=lambda r: r.n):
+    for rec in records:
         f = f_ratio(rec) if rec.n >= 2 and rec.count > 0 else None
         gap = target - f if target is not None and f is not None else None
         rows.append(
@@ -198,8 +186,7 @@ def _emit_rows(rows: list[dict[str, Any]], columns: Sequence[str], args: argpars
 
 def _cmd_count(args: argparse.Namespace) -> int:
     tau = parse(args.pattern)
-    count = _scan_counter(args, (tau,))
-    records, refused = _counted(count, ((tau, n) for n in range(args.n_from, args.n_to + 1)))
+    [records], refused = _scan(args, (tau,), range(args.n_from, args.n_to + 1))
     if records or refused is None:
         _emit_rows(_scan_rows(tau, records), SCAN_COLUMNS, args)
     if refused is not None:
@@ -383,15 +370,13 @@ def _cmd_conjectures(args: argparse.Namespace) -> int:
         patterns = tuple(dict.fromkeys(map(parse, args.pattern)))
     else:
         raise ValueError("supply --all-k or at least one --pattern")
-    count = _scan_counter(args, patterns)
     ns = range(args.n_from, args.n_to + 1)
-    records, refused = _counted(count, ((tau, n) for tau in patterns for n in ns))
-    # patterns are counted in order, so those with records come first
-    counts = {tau: list(recs) for tau, recs in groupby(records, lambda rec: rec.tau)}
-    rows_of = [_scan_rows(tau, counts[format_partition(tau)]) for tau in patterns[: len(counts)]]
+    counted, refused = _scan(args, patterns, ns)
+    rows_of = [_scan_rows(tau, records) for tau, records in zip(patterns, counted)]
     verdicts = []
     if refused is None:  # a partial scan prints its exact rows and no verdict
         if args.all_k is not None:
+            counts = dict(zip(map(format_partition, patterns), counted))
             verdicts.append(_conjecture_one(args.all_k, counts, ns))
         for rows in rows_of:
             verdicts.extend(_conjecture_probes(rows))
@@ -444,48 +429,46 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         if shape.r >= shape.k:
             raise ValueError(f"shape {shape.parts} has no non-singleton layer (k must exceed r)")
 
-    patterns = [shape.to_partition() for shape in shapes]
-    count = _scan_counter(args, patterns)
     ns = range(max(args.n_from, 1), args.n_to + 1)
-    records, refused = _counted(count, ((tau, n) for tau in patterns for n in ns))
-    shape_of = {format_partition(tau): shape for tau, shape in zip(patterns, shapes)}
+    counted, refused = _scan(args, [shape.to_partition() for shape in shapes], ns)
 
     rows = []
     findings = []
-    for rec in records:
-        shape, n = shape_of[rec.tau], rec.n
+    for shape, records in zip(shapes, counted):
         k, r, t = shape.k, shape.r, shape.k - shape.r
-        ln_count = math.log(rec.count) if rec.count > 0 else None
-        upper = log_upper_bound_layered(k, r, n)
-        lower = None
-        if t == 1:
-            lower = 0.0
-        elif n % t == 0:
-            lower = log_lower_bound_uniform(t, n)
-        within = (
-            ln_count is not None
-            and ln_count <= upper + 1e-9
-            and (lower is None or lower <= ln_count + 1e-9)
-        )
-        if not within:
-            findings.append(
-                f"bound violation: tau={rec.tau} n={n} ln_count={_fmt(ln_count)} "
-                f"lower={_fmt(lower)} upper={_fmt(upper)}"
+        for rec in records:
+            n = rec.n
+            ln_count = math.log(rec.count) if rec.count > 0 else None
+            upper = log_upper_bound_layered(k, r, n)
+            lower = None
+            if t == 1:
+                lower = 0.0
+            elif n % t == 0:
+                lower = log_lower_bound_uniform(t, n)
+            within = (
+                ln_count is not None
+                and ln_count <= upper + 1e-9
+                and (lower is None or lower <= ln_count + 1e-9)
             )
-        rows.append(
-            {
-                "tau": rec.tau,
-                "k": k,
-                "r": r,
-                "n": n,
-                "count": str(rec.count),
-                "f_ratio": f_ratio(rec) if n >= 2 and rec.count > 0 else None,
-                "ln_count": ln_count,
-                "lower_bound": lower,
-                "upper_bound": upper,
-                "within": within,
-            }
-        )
+            if not within:
+                findings.append(
+                    f"bound violation: tau={rec.tau} n={n} ln_count={_fmt(ln_count)} "
+                    f"lower={_fmt(lower)} upper={_fmt(upper)}"
+                )
+            rows.append(
+                {
+                    "tau": rec.tau,
+                    "k": k,
+                    "r": r,
+                    "n": n,
+                    "count": str(rec.count),
+                    "f_ratio": f_ratio(rec) if n >= 2 and rec.count > 0 else None,
+                    "ln_count": ln_count,
+                    "lower_bound": lower,
+                    "upper_bound": upper,
+                    "within": within,
+                }
+            )
     if rows or refused is None:
         _emit_rows(rows, BOUND_COLUMNS, args)
     if refused is not None:  # a partial scan prints its exact rows and no verdict
@@ -591,7 +574,6 @@ def _add_scan_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", help="write the report here instead of stdout")
     sub.add_argument("--oracle", action="store_true", help="force the unpruned oracle counter")
     sub.add_argument("--oracle-ceiling", type=int, default=DEFAULT_ORACLE_CEILING)
-    sub.add_argument("--enum-ceiling", type=int, default=DEFAULT_ENUM_CEILING)
     sub.add_argument("--k-ceiling", type=int, default=DEFAULT_K_CEILING)
 
 

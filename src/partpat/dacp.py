@@ -44,7 +44,8 @@ class Dacp(_Value):
 
     ``masks[v]`` is ``(non-adjacent, in-neighbours, out-neighbours)`` of
     vertex v, each a bitset with bit u set for vertex u. It is built on
-    first use and takes no part in equality, hashing, repr or pickling.
+    first use and takes no part in equality, hashing, repr or pickling;
+    building it raises DacpError for a vertex outside 1..n.
     """
 
     __slots__ = ("n", "edges", "masks")
@@ -63,6 +64,8 @@ class Dacp(_Value):
         n = self.n
         outs, ins = [0] * (n + 1), [0] * (n + 1)
         for a, b in self.edges:
+            if not (1 <= a <= n and 1 <= b <= n):
+                raise DacpError(f"vertex out of range in edge ({a}, {b})")
             outs[a] |= 1 << b
             ins[b] |= 1 << a
         full = (1 << (n + 1)) - 2

@@ -63,7 +63,6 @@ __all__ = [
     "CountRecord",
     "DEFAULT_ORACLE_CEILING",
     "all_partitions",
-    "closed_form",
     "count_avoiders",
     "count_avoiders_oracle",
     "count_sequence",
@@ -77,10 +76,11 @@ __all__ = [
 DEFAULT_ORACLE_CEILING = 10
 
 # count_sequence refuses a pattern once a layer of its transfer DP holds
-# more than _DP_MAX_STATES states. Two layers are live at once; at this cap
-# 15/234 at n = 16 is refused in layer 13 at a peak RSS of about 700 MB,
-# while every multi-block pattern of [5] and [6] stays under 14,000 states
-# up to the default enumeration ceiling n = 13.
+# more than _DP_MAX_STATES states; nothing else bounds n. Two layers are
+# live at once; at this cap 15/234 at n = 16 is refused in layer 13 at a
+# peak RSS of about 710 MB, while no multi-block pattern of [4] holds more
+# than 379 states in a layer up to n = 30, nor one of [5] more than 94,849
+# up to n = 15.
 _DP_MAX_STATES = 200_000
 
 # count_sequence runs the DPs of a pattern and of its reverse this deep, then
@@ -450,12 +450,6 @@ def _validate_args(tau: SetPartition, n: int) -> None:
         raise ValueError("n must be nonnegative")
 
 
-def closed_form(tau: SetPartition) -> bool:
-    """True when ``count_sequence`` counts tau in closed form, at any depth:
-    tau is a one-block pattern. Every other pattern is enumerated."""
-    return len(tau.blocks) == 1
-
-
 def count_sequence(tau: SetPartition, n_max: int) -> list[int]:
     """Exact avoider counts [A_0, A_1, ..., A_n_max] of tau.
 
@@ -464,12 +458,14 @@ def count_sequence(tau: SetPartition, n_max: int) -> list[int]:
     nonempty partition contains the pattern 1. Any other pattern is counted
     by the transfer DP of tau or of its reverse, which share one sequence
     but whose DPs can differ tenfold in size: both run 4 layers, and the one
-    that has met fewer distinct signatures goes on. A pattern whose DP layer
-    outgrows ``_DP_MAX_STATES`` (200,000) states raises ``CeilingError``
-    naming the pattern, the layer and the cap, with the exact counts below.
+    that has met fewer distinct signatures goes on. No n_max is refused up
+    front: a pattern whose DP layer outgrows ``_DP_MAX_STATES`` (200,000)
+    states raises ``CeilingError`` naming the pattern, the layer and the
+    cap, with the exact counts below, after the DP has spent the time and
+    memory of the layers before it.
     """
     _validate_args(tau, n_max)
-    if closed_form(tau):
+    if len(tau.blocks) == 1:
         if tau.n == 1:
             return [1] + [0] * n_max
         return block_recursion(tau.n, max(n_max, 1))[: n_max + 1]

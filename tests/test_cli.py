@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import partpat.cli as cli
-from partpat import all_partitions, enumeration
+from partpat import all_partitions, block_recursion, enumeration, parse, singleton_count
 from partpat.cli import main
 from partpat.enumeration import _walk_sequence
 
@@ -97,11 +97,31 @@ class TestCount:
         assert rc == 0
         assert out.strip().splitlines()[1].split(",")[2] == "26"
 
-    def test_enum_ceiling(self, capsys):
-        rc, _, err = run(
-            capsys, "count", "--pattern", "12/3", "--n-from", "1", "--n-to", "20", "--no-cache"
+    def test_dp_counts_past_n_13(self, capsys):
+        # the DP state cap is the only guard on n: 12/3 stays far below it
+        rc, out, err = run(
+            capsys, "count", "--pattern", "12/3", "--n-from", "14", "--n-to", "20", "--no-cache"
         )
-        assert rc == 3 and "ceiling" in err
+        assert rc == 0 and err == ""
+        rows = [line.split(",")[:3] for line in out.strip().splitlines()[1:]]
+        walk = _walk_sequence(parse("12/3"), 20)
+        assert rows == [["12/3", str(n), str(1 + math.comb(n, 2))] for n in range(14, 21)]
+        assert [int(r[2]) for r in rows] == walk[14:]
+
+    def test_singletons_count_past_n_13(self, capsys):
+        rc, out, _ = run(
+            capsys, "count", "--pattern", "1/2/3", "--n-from", "1", "--n-to", "20", "--no-cache"
+        )
+        assert rc == 0
+        counts = [int(line.split(",")[2]) for line in out.strip().splitlines()[1:]]
+        assert counts == [singleton_count(3, n) for n in range(1, 21)]
+
+    def test_enum_ceiling_flag_is_gone(self, capsys):
+        rc, out, err = run(
+            capsys, "count", "--pattern", "12/3", "--n-from", "1", "--n-to", "5",
+            "--no-cache", "--enum-ceiling", "20",
+        )
+        assert rc == 1 and out == "" and "unrecognized arguments: --enum-ceiling 20" in err
 
     @pytest.mark.parametrize(("pattern", "exceeds"), [("123", 10**50), ("1", -1)], ids=["123", "1"])
     def test_one_block_pattern_not_ceilinged(self, capsys, pattern, exceeds):
@@ -326,6 +346,14 @@ class TestConjectures:
             walk = _walk_sequence(tau, 9)
             assert [r[2] for r in rows if r[0] == str(tau)] == [str(a) for a in walk[1:]], str(tau)
 
+    def test_all_k4_counts_to_n_20(self, capsys):
+        rc, out, err = run(capsys, "conjectures", "--all-k", "4", "--n-from", "1", "--n-to", "20", "--no-cache")
+        assert rc == 0 and "conjecture 1: pass" in err
+        rows = [line.split(",")[:3] for line in out.strip().splitlines()[1:]]
+        assert len(rows) == 15 * 20
+        assert [int(r[2]) for r in rows if r[0] == "1/2/3/4"] == [singleton_count(4, n) for n in range(1, 21)]
+        assert [int(r[2]) for r in rows if r[0] == "1234"] == block_recursion(4, 20)[1:]
+
     def test_repeated_pattern_scanned_once(self, capsys):
         # 21/3 is 12/3 in canonical form; the first-seen order is kept
         rc, out, err = run(
@@ -527,10 +555,9 @@ class TestUniformCommand:
         (["--n-from", "-1"], 1, "n range is empty or negative"),
         (["--oracle-ceiling", "13"], 1, "oracle ceiling must be <= 12"),
         (["--workers", "0"], 1, f"1 and {os.cpu_count() or 1}"),
-        (["--n-to", "14"], 3, "enumeration ceiling 13 exceeded by n=14"),
         (["--oracle", "--n-to", "11"], 3, "oracle ceiling 10 exceeded by n=11"),
     ],
-    ids=["n-reversed", "n-negative", "oracle-ceiling-cap", "workers", "enum-ceiling", "oracle-ceiling"],
+    ids=["n-reversed", "n-negative", "oracle-ceiling-cap", "workers", "oracle-ceiling"],
 )
 def test_scan_flags_checked(capsys, command, flags, code, message):
     rc, out, err = run(

@@ -169,6 +169,16 @@ class TestDacpContains:
             for p, pg in pats:
                 assert dacp_contains(hg, pg) == contains(host, p), (str(host), labels, str(p))
 
+    @pytest.mark.parametrize("edge", [(0, 1), (3, 1), (-1, 1)], ids=["zero", "past-n", "negative"])
+    def test_vertex_out_of_range_refused(self, edge):
+        # nothing validates the graphs, so the mask builder checks the range
+        good = to_dacp(parse("1/2"))
+        message = f"vertex out of range in edge ({edge[0]}, {edge[1]})"
+        for host, pattern in ((Dacp(2, {edge}), good), (good, Dacp(2, {edge}))):
+            with pytest.raises(DacpError) as fault:
+                dacp_contains(host, pattern)
+            assert str(fault.value) == message
+
     def test_equivalence_with_partition_containment(self):
         # moderate sweep; the acceptance suite covers hosts up to n = 7
         pats = [(p, to_dacp(p)) for k in range(1, 4) for p in patterns_of(k)]

@@ -1,18 +1,23 @@
 """The documentation examples run: each partpat module's docstrings and the
 README's library session. The package exports each library module's
-public names."""
+public names, and the README names every scan flag and no flag the CLI
+lacks."""
 
 from __future__ import annotations
 
+import argparse
 import doctest
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
 
 import partpat
+from partpat import cli
 
+README = Path(__file__).resolve().parent.parent / "README.md"
 MODULES = ["partpat"] + sorted(m.name for m in pkgutil.iter_modules(partpat.__path__, "partpat."))
 
 
@@ -23,8 +28,7 @@ def test_module_examples(name):
 
 
 def test_readme_examples():
-    readme = Path(__file__).resolve().parent.parent / "README.md"
-    result = doctest.testfile(str(readme), module_relative=False)
+    result = doctest.testfile(str(README), module_relative=False)
     assert result.attempted > 0
     assert result.failed == 0
 
@@ -36,3 +40,20 @@ def test_package_exports_each_module_list():
     for m in modules:
         for name in m.__all__:
             assert getattr(partpat, name) is getattr(m, name), name
+
+
+def _options(parser: argparse.ArgumentParser) -> set[str]:
+    return {option for action in parser._actions for option in action.option_strings}
+
+
+def test_readme_flags_match_the_parser():
+    # the flags in the prose's inline code, outside the fenced examples
+    prose = re.sub(r"```.*?```", "", README.read_text(encoding="utf-8"), flags=re.S)
+    spans = re.findall(r"`([^`]+)`", prose)
+    named = {flag for span in spans for flag in re.findall(r"--[a-z][a-z-]*", span)}
+    (subcommands,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    known = set().union(*map(_options, subcommands.choices.values()))
+    assert named - known == set()
+    scan = argparse.ArgumentParser()
+    cli._add_scan_flags(scan)
+    assert _options(scan) - {"-h", "--help"} - named == set()
