@@ -6,10 +6,17 @@ does, ends the run quietly with 0), 1 invalid input (or a file that cannot
 be read or written), 2 hard assertion failure (a desk-scale theorem check or
 internal identity broke), 3 resource ceiling exceeded: a transfer-DP layer
 over its state cap, n past ``--oracle-ceiling`` under ``--oracle``, or k
-past ``--k-ceiling`` under ``--all-k``. Trend verdicts from
-the conjecture scans never change the exit status; only exact claims do.
-``conjectures --all-k K`` needs K >= 1 and ``bounds --all-k K``, which
-audits the layered shapes of size 2..K, needs K >= 2.
+past ``--k-ceiling`` under ``--all-k``. ``--oracle-ceiling`` must lie in
+0..12 and ``--k-ceiling`` be >= 1, or the scan exits 1. Trend verdicts from
+the conjecture scans never change the exit status; only exact claims do,
+and a probe of a pattern with no row at n >= 2 with a positive count
+reports ``degenerate``. ``conjectures --all-k K`` needs K >= 1 and
+``bounds --all-k K``, which audits the layered shapes of size 2..K, needs
+K >= 2.
+
+The scans ``count``, ``conjectures`` and ``bounds`` print through one
+report path, as CSV or JSON, to ``--out`` or stdout; a scan refused at a
+DP layer prints the exact rows it counted before the refusal, then exits 3.
 """
 
 from __future__ import annotations
@@ -83,20 +90,8 @@ def _fmt(x: Any) -> str:
     return str(x)
 
 
-def _scan(
-    args: argparse.Namespace, patterns: Sequence[SetPartition], ns: range
-) -> tuple[list[list[CountRecord]], CeilingError | None]:
-    """Check the scan flags, then count each pattern at each n of ns, in
-    order: the records of each pattern reached, and None, or the refusal
-    when a count falls at or past a refused DP layer. The scan stops there,
-    and the records before it are exact.
-
-    A cache miss is counted by the oracle under ``--oracle``; otherwise each
-    reversal orbit is counted once per scan: a pattern and its reverse have
-    one sequence, and the first miss of either asks ``count_sequence`` for
-    every n up to ``--n-to``. The cache is ``--cache``, else
-    ``$PARTPAT_CACHE``, and none under ``--no-cache``.
-    """
+def _check_scan_flags(args: argparse.Namespace) -> None:
+    """Refuse a scan's flags out of range, before the scan builds anything."""
     # --workers has no effect but keeps its range check, so every command line exits as before
     cpus = os.cpu_count() or 1
     if not 1 <= args.workers <= cpus:
@@ -105,8 +100,28 @@ def _scan(
         raise ValueError("n range is empty or negative")
     if args.oracle_ceiling > 12:
         raise ValueError("oracle ceiling must be <= 12")
+    if args.oracle_ceiling < 0:
+        raise ValueError("--oracle-ceiling must be >= 0")
+    if args.k_ceiling < 1:
+        raise ValueError("--k-ceiling must be >= 1")
     if args.oracle and args.n_to > args.oracle_ceiling:
         raise CeilingError(f"oracle ceiling {args.oracle_ceiling} exceeded by n={args.n_to}")
+
+
+def _scan(
+    args: argparse.Namespace, patterns: Sequence[SetPartition], ns: range
+) -> tuple[list[list[CountRecord]], CeilingError | None]:
+    """Count each pattern at each n of ns, in order: the records of each
+    pattern reached, and None, or the refusal when a count falls at or past
+    a refused DP layer. The scan stops there, and the records before it are
+    exact.
+
+    A cache miss is counted by the oracle under ``--oracle``; otherwise each
+    reversal orbit is counted once per scan: a pattern and its reverse have
+    one sequence, and the first miss of either asks ``count_sequence`` for
+    every n up to ``--n-to``. The cache is ``--cache``, else
+    ``$PARTPAT_CACHE``, and none under ``--no-cache``.
+    """
     path = None if args.no_cache else args.cache or os.environ.get(CACHE_ENV_VAR)
     cache = CountCache(path) if path else None
     sequences: dict[str, tuple[list[int], CeilingError | None]] = {}
@@ -161,36 +176,38 @@ def _scan_rows(tau: SetPartition, records: Sequence[CountRecord]) -> list[dict[s
     return rows
 
 
-def _write_report(text: str, args: argparse.Namespace) -> None:
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_rows(rows: list[dict[str, Any]], columns: Sequence[str], args: argparse.Namespace) -> None:
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row.get(c)) for c in columns])
-        text = buf.getvalue()
-    else:
-        text = json.dumps(rows, indent=2) + "\n"
-    _write_report(text, args)
+def _report(
+    args: argparse.Namespace, rows: list[dict[str, Any]], columns: Sequence[str],
+    refused: CeilingError | None, doc: Any = None,
+) -> None:
+    """Write a scan's report to ``--out``, or else stdout: CSV of ``rows``
+    under ``columns``, or JSON of ``doc``, or else of the rows. A refused
+    scan reports the rows it counted, if any, then raises the refusal."""
+    if rows or refused is None:
+        if args.format == "json":
+            text = json.dumps(rows if doc is None else doc, indent=2) + "\n"
+        else:
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows([_fmt(row[c]) for c in columns] for row in rows)
+            text = buf.getvalue()
+        if args.out:
+            Path(args.out).write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
+    if refused is not None:
+        raise refused
 
 
 # ---------------------------------------------------------------- count
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
+    _check_scan_flags(args)
     tau = parse(args.pattern)
     [records], refused = _scan(args, (tau,), range(args.n_from, args.n_to + 1))
-    if records or refused is None:
-        _emit_rows(_scan_rows(tau, records), SCAN_COLUMNS, args)
-    if refused is not None:
-        raise refused
+    _report(args, _scan_rows(tau, records), SCAN_COLUMNS, refused)
     return EXIT_OK
 
 
@@ -240,7 +257,8 @@ def _verdict(
     the whole family), as the JSON report prints it.
 
     ``fail`` always carries a concrete counterexample; asymptotic probes
-    only ever report a consistent or inconsistent trend, never a pass.
+    only ever report a consistent or inconsistent trend, or ``degenerate``
+    where there is no trend to read, never a pass.
     """
     if status == "fail" and counterexample is None:
         raise AssertionError("fail verdict requires a counterexample")
@@ -285,71 +303,61 @@ def _conjecture_one(
     )
 
 
-def _conjecture_probes(rows: list[dict[str, Any]]) -> list[dict[str, Any]]:
+def _conjecture_probes(tau_text: str, pm: int, usable: Sequence[dict[str, Any]]) -> list[dict[str, Any]]:
     """Verdicts on conjectures 5, 6 and 2-4 for one pattern, read off its
-    ``_scan_rows``."""
-    tau_text, pm, target = rows[0]["tau"], rows[0]["pm"], rows[0]["pm_target"]
-    usable = [r for r in rows if r["f_ratio"] is not None]
-    fs = [(r["n"], r["f_ratio"]) for r in usable]
-    verdicts: list[dict[str, Any]] = []
-
+    usable ``_scan_rows``: those with an F_n, at n >= 2 with a positive count."""
+    rows5 = [{c: r[c] for c in ("n", "f_ratio", "pm_target", "gap")} for r in usable]
     if pm == 0:
-        verdicts.append(
+        stays_0 = usable and all(r["f_ratio"] == 0.0 for r in usable)
+        return [
             _verdict(
                 "5", tau_text, "degenerate",
                 "pm=0: target 1-1/pm undefined; growth is at most exponential so F tends to 0"
-                + ("; observed F stays 0" if all(f == 0.0 for _, f in fs) else ""),
-                [{"n": n, "f_ratio": f, "pm_target": None, "gap": None} for n, f in fs],
-            )
-        )
-        verdicts.append(
-            _verdict("6", tau_text, "degenerate", "pm=0: no finite target to compare against")
-        )
-        return verdicts
+                + ("; observed F stays 0" if stays_0 else ""),
+                rows5,
+            ),
+            _verdict("6", tau_text, "degenerate", "pm=0: no finite target to compare against"),
+        ]
+    if not usable:
+        why = "no row has n >= 2 and a positive count"
+        return [
+            _verdict("5", tau_text, "degenerate", f"pm={pm}: {why}, so no F_n to compare with 1-1/pm"),
+            _verdict("6", tau_text, "degenerate", f"pm={pm}: {why}, so no margin to bound"),
+        ]
 
     margins = [abs(r["gap_times_log_n"]) for r in usable]
-    rows5 = [
-        {"n": r["n"], "f_ratio": r["f_ratio"], "pm_target": target, "gap": r["gap"]} for r in usable
-    ]
     status = "inconsistent" if _margin_blow_up(margins) else "consistent"
-    last = usable[-1] if usable else {"n": "-", "gap": None}
-    verdicts.append(
-        _verdict(
-            "5", tau_text, status,
-            f"pm={pm}, target={_fmt(target)}, gap at n={last['n']} is {_fmt(last['gap'])}",
-            rows5,
-        )
-    )
-
+    last = usable[-1]
     rows24 = []
-    for n, f in fs:
+    for r in usable:
+        f = r["f_ratio"]
         c_est = 1.0 / (1.0 - f) if f < 1.0 else None
         dist = abs(c_est - round(c_est)) if c_est is not None else None
-        rows24.append({"n": n, "c_estimate": c_est, "distance_to_integer": dist})
+        rows24.append({"n": r["n"], "c_estimate": c_est, "distance_to_integer": dist})
 
-    rows6 = [{"n": r["n"], "margin": m} for r, m in zip(usable, margins)]
-    summary6 = f"|F_n - (1-1/{pm})| * ln n stays within [{_fmt(min(margins, default=0.0))}, {_fmt(max(margins, default=0.0))}]"
-    c_last = rows24[-1]["c_estimate"] if rows24 else None
-    if c_last is not None:
-        nearest = max(1, round(c_last))
+    summary6 = f"|F_n - (1-1/{pm})| * ln n stays within [{_fmt(min(margins))}, {_fmt(max(margins))}]"
+    tail = rows24[-1]
+    if tail["c_estimate"] is not None:
+        nearest = max(1, round(tail["c_estimate"]))
         if nearest != pm:
             summary6 += (
                 f"; observed trend prefers c={nearest} (target {_fmt(1 - 1 / nearest)})"
                 f" over pm-based c={pm}"
             )
-    verdicts.append(_verdict("6", tau_text, status, summary6, rows6))
-
-    if rows24:
-        tail = rows24[-1]
-        verdicts.append(
-            _verdict(
-                "2-4", tau_text, "diagnostic",
-                f"1/(1-F_n) at n={tail['n']} is {_fmt(tail['c_estimate'])}, "
-                f"{_fmt(tail['distance_to_integer'])} from the nearest integer",
-                rows24,
-            )
-        )
-    return verdicts
+    return [
+        _verdict(
+            "5", tau_text, status,
+            f"pm={pm}, target={_fmt(last['pm_target'])}, gap at n={last['n']} is {_fmt(last['gap'])}",
+            rows5,
+        ),
+        _verdict("6", tau_text, status, summary6, [{"n": r["n"], "margin": m} for r, m in zip(usable, margins)]),
+        _verdict(
+            "2-4", tau_text, "diagnostic",
+            f"1/(1-F_n) at n={tail['n']} is {_fmt(tail['c_estimate'])}, "
+            f"{_fmt(tail['distance_to_integer'])} from the nearest integer",
+            rows24,
+        ),
+    ]
 
 
 def _family_k(args: argparse.Namespace, least: int) -> int:
@@ -363,6 +371,7 @@ def _family_k(args: argparse.Namespace, least: int) -> int:
 
 
 def _cmd_conjectures(args: argparse.Namespace) -> int:
+    _check_scan_flags(args)
     if args.all_k is not None:
         patterns = tuple(all_partitions(_family_k(args, 1)))
     elif args.pattern:
@@ -379,18 +388,13 @@ def _cmd_conjectures(args: argparse.Namespace) -> int:
             counts = dict(zip(map(format_partition, patterns), counted))
             verdicts.append(_conjecture_one(args.all_k, counts, ns))
         for rows in rows_of:
-            verdicts.extend(_conjecture_probes(rows))
+            usable = [r for r in rows if r["f_ratio"] is not None]
+            verdicts.extend(_conjecture_probes(rows[0]["tau"], rows[0]["pm"], usable))
     scan_rows = [row for rows in rows_of for row in rows]
     for v in verdicts:
         scope = f" tau={v['tau']}" if v["tau"] else ""
         print(f"conjecture {v['conjecture']}{scope}: {v['status']} ({v['summary']})", file=sys.stderr)
-    if scan_rows or refused is None:
-        if args.format == "json":
-            _write_report(json.dumps({"verdicts": verdicts, "rows": scan_rows}, indent=2) + "\n", args)
-        else:
-            _emit_rows(scan_rows, SCAN_COLUMNS, args)
-    if refused is not None:
-        raise refused
+    _report(args, scan_rows, SCAN_COLUMNS, refused, {"verdicts": verdicts, "rows": scan_rows})
     return EXIT_OK
 
 
@@ -406,6 +410,7 @@ def compositions(k: int):
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
+    _check_scan_flags(args)
     shapes: list[LayeredShape] = []
     if args.shape:
         for text in args.shape:
@@ -469,10 +474,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
                     "within": within,
                 }
             )
-    if rows or refused is None:
-        _emit_rows(rows, BOUND_COLUMNS, args)
-    if refused is not None:  # a partial scan prints its exact rows and no verdict
-        raise refused
+    _report(args, rows, BOUND_COLUMNS, refused)  # a partial scan raises before its findings
     if findings:
         for finding in findings:
             print(finding, file=sys.stderr)

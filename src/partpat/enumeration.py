@@ -29,9 +29,10 @@ partition of [n] is generated exactly once, in lexicographic order, and
 the node of depth m is its restriction to [m]. Walking for a pattern, it
 prunes a node whose partition already contains the pattern. Because an
 occurrence created by appending element m must use m as its largest
-image, each node runs one anchored matcher call instead of a full
-containment search. The checker is compiled once per pattern and recurses
-through the module-level ``_descend``, so a node builds no closure.
+image, each node runs one anchored search instead of a full containment
+search. The walker builds the pattern's tables once and calls the
+module-level ``_descend`` directly on the block that m joined, so a node
+makes no function object.
 Tallied by depth, the pruned walk (``_walk_sequence``) counts the same
 sequence independently of the DP, and the tests check the DP against it;
 ``enumerate_avoiders`` lists the avoiders of [n] it reaches. Unpruned,
@@ -51,7 +52,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from itertools import islice, permutations, product
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .containment import _least_image
 from .core import SetPartition, _Value, format_partition, reverse, sba
@@ -108,56 +109,21 @@ class CountRecord(_Value):
         self._assign(tau, n, count)
 
 
-def _anchored_checker(pattern: SetPartition) -> Callable[[list[list[int]], int], bool]:
-    """Compile ``pattern`` into check(blocks, anchor_idx).
-
-    The call answers: does the prefix partition held in ``blocks`` contain
-    the pattern via an occurrence whose largest image is the element just
-    appended to blocks[anchor_idx]? Pattern elements are matched downward
-    from k, so the anchor pins the image of k and the search fills the rest
-    below it. This is ``find_occurrence``'s exchange lemma mirrored: an
-    element whose pattern block is already bound takes the largest element
-    of its host block below the image of the element above it, with no
-    choice, so the search branches only where a pattern block opens, once
-    per unused host block, on that block's largest element below it.
-
-    The pattern's tables are built here, once; each call makes two fresh
-    lists and hands them to the module-level ``_descend``, so a call builds
-    no function object and leaves no reference cycle.
-    """
-    k = pattern.n
-    pat_block = pattern.rgs
-    n_pat_blocks = len(pattern.blocks)
-    pat_sizes = [0] * n_pat_blocks
-    need_below = []
-    for b in pat_block:
-        need_below.append(pat_sizes[b])
-        pat_sizes[b] += 1
-    top_block = pat_block[k - 1]
-    top_need = need_below[k - 1]
-
-    def check(blocks: list[list[int]], anchor_idx: int) -> bool:
-        anchor_blk = blocks[anchor_idx]
-        if len(anchor_blk) <= top_need:
-            return False
-        if k == 1:
-            return True
-        binding = [-1] * n_pat_blocks
-        used = [False] * len(blocks)
-        binding[top_block] = anchor_idx
-        used[anchor_idx] = True
-        return _descend(k - 1, anchor_blk[-1], pat_block, need_below, blocks, binding, used)
-
-    return check
-
-
 def _descend(
     j: int, bound: int, pat_block: tuple[int, ...], need_below: list[int],
     blocks: list[list[int]], binding: list[int], used: list[bool],
 ) -> bool:
     """Can pattern elements 1..j take images below ``bound``, element i's
     at least i? binding and used are as in ``containment._extend``, and
-    need_below[i - 1] counts the elements of i's pattern block below i."""
+    need_below[i - 1] counts the elements of i's pattern block below i.
+
+    This is ``find_occurrence``'s exchange lemma mirrored, matching
+    downward: an element whose pattern block is already bound takes the
+    largest element of its host block below the image of the element above
+    it, with no choice, so the search branches only where a pattern block
+    opens, once per unused host block, on that block's largest element
+    below it. With j = 0 every element is placed, and the answer is True.
+    """
     while j:
         b = pat_block[j - 1]
         hb = binding[b]
@@ -187,9 +153,7 @@ def _descend(
     return False
 
 
-def _prefixes(
-    n: int, check: Callable[[list[list[int]], int], bool] | None
-) -> Iterator[tuple[int, list[list[int]], list[int]]]:
+def _prefixes(n: int, tau: SetPartition | None) -> Iterator[tuple[int, list[list[int]], list[int]]]:
     """Every kept node of the restricted-growth-string tree of [n], in
     lexicographic order, as (m, blocks, block_of), the root m = 0 included.
 
@@ -197,12 +161,19 @@ def _prefixes(
     least element, and block_of[e] is the index of the block holding e for
     1 <= e <= m. Both are the walker's own lists, changed in place as it
     moves on, so a caller copies what it keeps. A node is pruned, with
-    everything below it, when ``check(blocks, bi)`` holds for the block bi
-    that its newest element joined; a None check prunes nothing.
+    everything below it, when its partition contains the pattern tau
+    through an occurrence whose largest image is its newest element m; a
+    None tau prunes nothing. Such an occurrence maps tau's element k to m,
+    so ``_descend`` fills elements k - 1..1 below m, starting from the block
+    that m joined.
 
     >>> [tuple(block_of[1:]) for m, _, block_of in _prefixes(3, None) if m == 3]
     [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2)]
     """
+    if tau is not None:
+        k, pat_block, n_pat_blocks = tau.n, tau.rgs, len(tau.blocks)
+        need_below = [pat_block[:i].count(b) for i, b in enumerate(pat_block)]
+        top_block, top_need = pat_block[-1], need_below[-1]
     blocks: list[list[int]] = []
     block_of = [0] * (n + 1)
     m = bi = 0  # the node is the partition of [m]; element m + 1 tries block bi next
@@ -212,9 +183,17 @@ def _prefixes(
             m += 1
             if bi == len(blocks):
                 blocks.append([])
-            blocks[bi].append(m)
+            blk = blocks[bi]
+            blk.append(m)
             block_of[m] = bi
-            if check is None or not check(blocks, bi):
+            pruned = False
+            if tau is not None and len(blk) > top_need:
+                binding = [-1] * n_pat_blocks
+                binding[top_block] = bi
+                used = [False] * len(blocks)
+                used[bi] = True
+                pruned = _descend(k - 1, m, pat_block, need_below, blocks, binding, used)
+            if not pruned:
                 yield m, blocks, block_of
                 bi = 0
                 continue
@@ -237,7 +216,7 @@ def _walk_sequence(tau: SetPartition, n_max: int) -> list[int]:
     the independent reference for ``count_sequence``.
     """
     tally = [0] * (n_max + 1)
-    for m, _, _ in _prefixes(n_max, _anchored_checker(tau)):
+    for m, _, _ in _prefixes(n_max, tau):
         tally[m] += 1
     return tally
 
@@ -488,7 +467,7 @@ def enumerate_avoiders(tau: SetPartition, n: int) -> Iterator[SetPartition]:
     """Yield every avoider of tau among partitions of [n], each exactly once,
     in lexicographic restricted-growth-string order."""
     _validate_args(tau, n)
-    for m, blocks, _ in _prefixes(n, _anchored_checker(tau)):
+    for m, blocks, _ in _prefixes(n, tau):
         if m == n:
             yield SetPartition(n, blocks)
 

@@ -147,6 +147,21 @@ class TestCount:
         )
         assert rc == 1 and "oracle ceiling" in err
 
+    def test_state_cap_writes_the_exact_rows_to_out(self, capsys, monkeypatch, tmp_path):
+        # 12/34 outgrows a cap of 10 states in layer 7: --out gets the rows
+        # for n = 1..6 exactly as an uncut scan prints them, stdout nothing
+        rc, expected, _ = run(capsys, "count", "--pattern", "12/34", "--n-from", "1", "--n-to", "6", "--no-cache")
+        assert rc == 0
+        monkeypatch.setattr(enumeration, "_DP_MAX_STATES", 10)
+        path = tmp_path / "F"
+        rc, out, err = run(
+            capsys, "count", "--pattern", "12/34", "--n-from", "1", "--n-to", "9", "--no-cache",
+            "--out", str(path),
+        )
+        assert (rc, out) == (3, "")
+        assert err == "ceiling: DP state cap 10 exceeded by 12/34 at layer m=7 (n=9)\n"
+        assert path.read_text(encoding="utf-8") == expected
+
     def test_parse_error_exit_code(self, capsys):
         rc, _, err = run(capsys, "count", "--pattern", "1x", "--n-from", "1", "--n-to", "2")
         assert rc == 1 and "malformed" in err
@@ -318,6 +333,32 @@ class TestConjectures:
         assert five["status"] == "consistent"
         for row in five["rows"]:
             assert 0 < row["gap"] < 1 / math.log(row["n"])
+
+    def test_k_ceiling_below_1_is_invalid_under_all_k(self, capsys):
+        rc, out, err = run(
+            capsys, "conjectures", "--all-k", "1", "--k-ceiling", "0", "--n-from", "1", "--n-to", "3", "--no-cache"
+        )
+        assert (rc, out, err) == (1, "", "error: --k-ceiling must be >= 1\n")
+
+    def test_no_usable_row_reports_degenerate(self, capsys):
+        # n < 2 gives no F_n, so there is no trend to call consistent
+        rc, out, err = run(capsys, "conjectures", "--pattern", "12", "--n-from", "0", "--n-to", "1", "--no-cache")
+        assert rc == 0 and len(out.strip().splitlines()) == 1 + 2
+        why = "pm=1: no row has n >= 2 and a positive count"
+        assert err == (
+            f"conjecture 5 tau=12: degenerate ({why}, so no F_n to compare with 1-1/pm)\n"
+            f"conjecture 6 tau=12: degenerate ({why}, so no margin to bound)\n"
+        )
+
+    @pytest.mark.parametrize(("pattern", "observed"), [("1", ""), ("1/2", "; observed F stays 0")])
+    def test_pm_0_observes_only_usable_rows(self, capsys, pattern, observed):
+        # the counts of 1 are 0 for n >= 1, so it has no F_n to observe
+        rc, _, err = run(capsys, "conjectures", "--pattern", pattern, "--n-from", "1", "--n-to", "4", "--no-cache")
+        assert rc == 0 and err == (
+            f"conjecture 5 tau={pattern}: degenerate (pm=0: target 1-1/pm undefined; "
+            f"growth is at most exponential so F tends to 0{observed})\n"
+            f"conjecture 6 tau={pattern}: degenerate (pm=0: no finite target to compare against)\n"
+        )
 
     def test_requires_pattern_selection(self, capsys):
         rc, _, err = run(capsys, "conjectures", "--n-from", "1", "--n-to", "4", "--no-cache")
@@ -556,8 +597,14 @@ class TestUniformCommand:
         (["--oracle-ceiling", "13"], 1, "oracle ceiling must be <= 12"),
         (["--workers", "0"], 1, f"1 and {os.cpu_count() or 1}"),
         (["--oracle", "--n-to", "11"], 3, "oracle ceiling 10 exceeded by n=11"),
+        (["--oracle-ceiling", "-3"], 1, "--oracle-ceiling must be >= 0"),
+        (["--oracle", "--oracle-ceiling", "-1"], 1, "--oracle-ceiling must be >= 0"),
+        (["--k-ceiling", "0"], 1, "--k-ceiling must be >= 1"),
     ],
-    ids=["n-reversed", "n-negative", "oracle-ceiling-cap", "workers", "oracle-ceiling"],
+    ids=[
+        "n-reversed", "n-negative", "oracle-ceiling-cap", "workers", "oracle-ceiling",
+        "oracle-ceiling-negative", "oracle-ceiling-negative-under-oracle", "k-ceiling-below-1",
+    ],
 )
 def test_scan_flags_checked(capsys, command, flags, code, message):
     rc, out, err = run(
