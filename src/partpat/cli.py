@@ -28,7 +28,7 @@ import json
 import math
 import os
 import sys
-from itertools import combinations
+from itertools import combinations, islice
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -411,6 +411,8 @@ def compositions(k: int):
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     _check_scan_flags(args)
+    if args.n_to < 1:
+        raise ValueError("--n-to must be >= 1: bounds audits n >= 1")
     shapes: list[LayeredShape] = []
     if args.shape:
         for text in args.shape:
@@ -542,16 +544,12 @@ def _cmd_permeability(args: argparse.Namespace) -> int:
 
 
 def _cmd_uniform(args: argparse.Namespace) -> int:
-    total = uniform_count(args.n, args.sections)
-    print(f"count = {total}")
+    if args.limit is not None and args.limit < 0:
+        raise ValueError("--limit must be >= 0")
+    print(f"count = {uniform_count(args.n, args.sections)}")
     if args.list:
-        limit = args.limit if args.limit is not None else total
-        shown = 0
-        for p in uniform_partitions(args.n, args.sections):
-            if shown >= limit:
-                break
+        for p in islice(uniform_partitions(args.n, args.sections), args.limit):
             print(format_partition(p))
-            shown += 1
     return EXIT_OK
 
 

@@ -11,7 +11,10 @@ pattern block opens, once per unused host block, and the witness it
 returns is the lexicographically least one. ``contains`` runs the same
 search and builds no witness. The search recurses through the
 module-level ``_extend``, which takes every per-call list as an argument,
-so a query builds no function object and leaves no reference cycle.
+so a query builds no function object and leaves no reference cycle. The
+enumeration walker's prune calls ``_extend`` too, on its own lists, with
+the block of the pattern's last element bound in advance to the block of
+the walker's newest element.
 """
 
 from __future__ import annotations

@@ -27,12 +27,11 @@ One walker, ``_prefixes``, visits the restricted-growth-string tree.
 Element i either joins an existing block or opens a new one, so every
 partition of [n] is generated exactly once, in lexicographic order, and
 the node of depth m is its restriction to [m]. Walking for a pattern, it
-prunes a node whose partition already contains the pattern. Because an
-occurrence created by appending element m must use m as its largest
-image, each node runs one anchored search instead of a full containment
-search. The walker builds the pattern's tables once and calls the
-module-level ``_descend`` directly on the block that m joined, so a node
-makes no function object.
+prunes a node whose partition already contains the pattern. An occurrence
+created by appending element m must use m as the image of the pattern's
+last element, so each node runs containment's own search, ``_extend``, on
+the walker's lists with that element's pattern block bound to the block
+that m joined; a node makes no function object.
 Tallied by depth, the pruned walk (``_walk_sequence``) counts the same
 sequence independently of the DP, and the tests check the DP against it;
 ``enumerate_avoiders`` lists the avoiders of [n] it reaches. Unpruned,
@@ -48,13 +47,12 @@ from __future__ import annotations
 import json
 import math
 import sys
-from bisect import bisect_left
 from collections import defaultdict
 from itertools import islice, permutations, product
 from pathlib import Path
 from typing import Iterator
 
-from .containment import _least_image
+from .containment import _extend, _least_image
 from .core import SetPartition, _Value, format_partition, reverse, sba
 from .formulas import block_recursion
 
@@ -109,50 +107,6 @@ class CountRecord(_Value):
         self._assign(tau, n, count)
 
 
-def _descend(
-    j: int, bound: int, pat_block: tuple[int, ...], need_below: list[int],
-    blocks: list[list[int]], binding: list[int], used: list[bool],
-) -> bool:
-    """Can pattern elements 1..j take images below ``bound``, element i's
-    at least i? binding and used are as in ``containment._extend``, and
-    need_below[i - 1] counts the elements of i's pattern block below i.
-
-    This is ``find_occurrence``'s exchange lemma mirrored, matching
-    downward: an element whose pattern block is already bound takes the
-    largest element of its host block below the image of the element above
-    it, with no choice, so the search branches only where a pattern block
-    opens, once per unused host block, on that block's largest element
-    below it. With j = 0 every element is placed, and the answer is True.
-    """
-    while j:
-        b = pat_block[j - 1]
-        hb = binding[b]
-        if hb < 0:
-            break
-        blk = blocks[hb]
-        idx = bisect_left(blk, bound) - 1
-        if idx < need_below[j - 1] or blk[idx] < j:
-            return False
-        bound = blk[idx]
-        j -= 1
-    else:
-        return True
-    nb = need_below[j - 1]
-    for hbi, blk in enumerate(blocks):
-        if used[hbi] or len(blk) <= nb:
-            continue
-        idx = bisect_left(blk, bound) - 1
-        if idx < nb or blk[idx] < j:
-            continue
-        binding[b] = hbi
-        used[hbi] = True
-        if _descend(j - 1, blk[idx], pat_block, need_below, blocks, binding, used):
-            return True
-        used[hbi] = False
-    binding[b] = -1
-    return False
-
-
 def _prefixes(n: int, tau: SetPartition | None) -> Iterator[tuple[int, list[list[int]], list[int]]]:
     """Every kept node of the restricted-growth-string tree of [n], in
     lexicographic order, as (m, blocks, block_of), the root m = 0 included.
@@ -163,17 +117,19 @@ def _prefixes(n: int, tau: SetPartition | None) -> Iterator[tuple[int, list[list
     moves on, so a caller copies what it keeps. A node is pruned, with
     everything below it, when its partition contains the pattern tau
     through an occurrence whose largest image is its newest element m; a
-    None tau prunes nothing. Such an occurrence maps tau's element k to m,
-    so ``_descend`` fills elements k - 1..1 below m, starting from the block
-    that m joined.
+    None tau prunes nothing. The parent node avoids tau, so an occurrence
+    in the child uses m, as the image of tau's element k: the node binds
+    k's pattern block to the block that m joined and runs
+    ``containment._extend`` on the walker's lists.
 
     >>> [tuple(block_of[1:]) for m, _, block_of in _prefixes(3, None) if m == 3]
     [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2)]
     """
     if tau is not None:
-        k, pat_block, n_pat_blocks = tau.n, tau.rgs, len(tau.blocks)
-        need_below = [pat_block[:i].count(b) for i, b in enumerate(pat_block)]
-        top_block, top_need = pat_block[-1], need_below[-1]
+        k, pat_block, pat_blocks = tau.n, tau.rgs, tau.blocks
+        top_block = pat_block[-1]
+        top_size = len(pat_blocks[top_block])
+        image = [0] * k  # _extend's witness, which the walk never reads
     blocks: list[list[int]] = []
     block_of = [0] * (n + 1)
     m = bi = 0  # the node is the partition of [m]; element m + 1 tries block bi next
@@ -187,12 +143,12 @@ def _prefixes(n: int, tau: SetPartition | None) -> Iterator[tuple[int, list[list
             blk.append(m)
             block_of[m] = bi
             pruned = False
-            if tau is not None and len(blk) > top_need:
-                binding = [-1] * n_pat_blocks
+            if tau is not None and len(blk) >= top_size:
+                binding = [-1] * len(pat_blocks)
                 binding[top_block] = bi
                 used = [False] * len(blocks)
                 used[bi] = True
-                pruned = _descend(k - 1, m, pat_block, need_below, blocks, binding, used)
+                pruned = _extend(0, 1, m, k, pat_block, pat_blocks, blocks, block_of, binding, used, image)
             if not pruned:
                 yield m, blocks, block_of
                 bi = 0

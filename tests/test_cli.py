@@ -461,6 +461,19 @@ class TestBounds:
             ["1/23", "3", "2", "4"], ["1/23", "3", "2", "5"],
         ]
 
+    def test_n_to_zero_refused_before_the_scan(self, capsys):
+        rc, out, err = run(
+            capsys, "bounds", "--shape", "2,2", "--n-from", "0", "--n-to", "0", "--no-cache"
+        )
+        assert rc == 1 and out == "" and err == "error: --n-to must be >= 1: bounds audits n >= 1\n"
+
+    def test_n_from_zero_audits_from_one(self, capsys):
+        rc, out, _ = run(
+            capsys, "bounds", "--shape", "2,2", "--n-from", "0", "--n-to", "2", "--no-cache"
+        )
+        assert rc == 0
+        assert [line.split(",")[3] for line in out.strip().splitlines()[1:]] == ["1", "2"]
+
     def test_malformed_shape(self, capsys):
         rc, _, err = run(
             capsys, "bounds", "--shape", "2;2", "--n-from", "1", "--n-to", "4", "--no-cache"
@@ -570,6 +583,12 @@ class TestUniformCommand:
             capsys, "uniform", "--n", "8", "--sections", "2", "--list", "--limit", "3"
         )
         assert len(out.splitlines()) == 4
+
+    def test_negative_limit_named(self, capsys):
+        rc, out, err = run(
+            capsys, "uniform", "--n", "4", "--sections", "2", "--list", "--limit", "-1"
+        )
+        assert rc == 1 and out == "" and err == "error: --limit must be >= 0\n"
 
     def test_indivisible(self, capsys):
         rc, _, err = run(capsys, "uniform", "--n", "5", "--sections", "2")
