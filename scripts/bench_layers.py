@@ -33,6 +33,10 @@ of --repeat, and gives the peak states of a layer of the DP it runs:
 - ``k5_n12``: the 46 multi-block patterns of [5] to n = 12, in seconds:
   one run each of ``_dp_sequence``, the DP layers ``count_sequence`` sums,
   timed while the largest peak among them is read off the same layers.
+- ``14/23_n20``: one more DP run, of 14/23 to n = 20, made after all the
+  plain timed runs, with its two stages ``_advance`` and ``_settle``
+  wrapped by timers: ``advance_ms``, ``settle_ms``, and ``settle_share``,
+  the part of that run's wall time spent in ``_settle``.
 
 The counts (queries, hits, nodes, checks) depend only on --walk-n, so two
 builds timed with the same flags did the same work. The
@@ -50,12 +54,14 @@ import random
 import sys
 import time
 from functools import partial
+from unittest import mock
 
 from partpat import (
     SetPartition,
     all_partitions,
     count_sequence,
     dacp_contains,
+    enumeration,
     find_occurrence,
     format_partition,
     from_dacp,
@@ -63,7 +69,7 @@ from partpat import (
     reverse,
     to_dacp,
 )
-from partpat.enumeration import _dp_sequence, _walk_sequence
+from partpat.enumeration import _dp_layers, _dp_sequence, _walk_sequence
 
 clock = time.perf_counter_ns
 SEED = 1
@@ -111,6 +117,34 @@ def peak_states(tau: SetPartition, n: int) -> int:
     return max(states for _, states, _ in _dp_sequence(tau, n))
 
 
+def stage_split(tau: SetPartition, n: int) -> dict:
+    """Time in each stage of one run of the DP of tau to n, and the settle
+    stage's share of the run's wall time."""
+    spent = {"_advance": 0, "_settle": 0}
+
+    def timed(name: str):
+        stage = getattr(enumeration, name)
+
+        def run(*args):
+            start = clock()
+            out = stage(*args)
+            spent[name] += clock() - start
+            return out
+
+        return mock.patch.object(enumeration, name, run)
+
+    with timed("_advance"), timed("_settle"):
+        start = clock()
+        for _ in _dp_layers(tau, n):
+            pass
+        wall = clock() - start
+    return {
+        "advance_ms": spent["_advance"] / 1e6,
+        "settle_ms": spent["_settle"] / 1e6,
+        "settle_share": spent["_settle"] / wall,
+    }
+
+
 def measure_dp(repeat: int) -> dict:
     k4 = [p for p in all_partitions(4) if len(p.blocks) > 1]
     k4_ns = fastest([partial(count_sequence, p, 9) for p in k4], repeat)
@@ -135,6 +169,7 @@ def measure_dp(repeat: int) -> dict:
             "peak_states": peak_states(deep, 11),
         },
         "k5_n12": {"s": k5_ns / 1e9, "peak_states": k5_peak},
+        "14/23_n20": stage_split(parse("14/23"), 20),  # after every plain timed run
     }
 
 
@@ -204,6 +239,8 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{'dp.k4_n9.scan_ms':24} {dp['k4_n9']['scan_ms']:10.3f}")
     print(f"{'dp.123/45_n11.ms':24} {dp['123/45_n11']['ms']:10.3f}")
     print(f"{'dp.k5_n12.s':24} {dp['k5_n12']['s']:10.3f}")
+    for name, value in dp["14/23_n20"].items():
+        print(f"{'dp.14/23_n20.' + name:24} {value:10.3f}")
     return 0
 
 

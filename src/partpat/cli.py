@@ -5,14 +5,15 @@ Exit codes: 0 success (a reader that closes stdout early, as ``| head``
 does, ends the run quietly with 0), 1 invalid input (or a file that cannot
 be read or written), 2 hard assertion failure (a desk-scale theorem check or
 internal identity broke), 3 resource ceiling exceeded: a transfer-DP layer
-over its state cap, n past ``--oracle-ceiling`` under ``--oracle``, or k
-past ``--k-ceiling`` under ``--all-k``. ``--oracle-ceiling`` must lie in
-0..12 and ``--k-ceiling`` be >= 1, or the scan exits 1. Trend verdicts from
-the conjecture scans never change the exit status; only exact claims do,
-and a probe of a pattern with no row at n >= 2 with a positive count
-reports ``degenerate``. ``conjectures --all-k K`` needs K >= 1 and
-``bounds --all-k K``, which audits the layered shapes of size 2..K, needs
-K >= 2.
+over its state cap, n past ``--oracle-ceiling`` under ``--oracle``, k past
+``--k-ceiling`` under ``--all-k``, or a ``check`` pattern of some 1,000
+blocks or more, past the containment search's recursion limit.
+``--oracle-ceiling`` must lie in 0..12 and ``--k-ceiling`` be >= 1, or the
+scan exits 1. Trend verdicts from the conjecture scans never change the
+exit status; only exact claims do, and a probe of a pattern with no row at
+n >= 2 with a positive count reports ``degenerate``. ``conjectures --all-k
+K`` needs K >= 1 and ``bounds --all-k K``, which audits the layered shapes
+of size 2..K, needs K >= 2.
 
 The scans ``count``, ``conjectures`` and ``bounds`` print through one
 report path, as CSV or JSON, to ``--out`` or stdout; a scan refused at a
@@ -217,7 +218,11 @@ def _cmd_count(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     host = parse(args.host)
     pattern = parse(args.pattern)
-    occ = find_occurrence(host, pattern)
+    try:
+        occ = find_occurrence(host, pattern)
+    except RecursionError:  # the search recurses once per pattern block
+        blocks = len(pattern.blocks)
+        raise CeilingError(f"containment search recursion limit exceeded by {blocks} pattern blocks")
     if args.format == "json":
         doc = {
             "host": format_partition(host),

@@ -13,9 +13,10 @@ by one of two exact methods:
   extending an avoiding prefix depend only on the set of partial
   occurrences of tau it holds, each reduced to a signature: how much of
   tau is matched and which host blocks the pattern blocks met so far
-  occupy. The DP carries one count per distinct set of signatures (merged
-  and relabelled so that prefixes with the same future share a state)
-  from layer to layer.
+  occupy. The DP carries one count per distinct set of signatures from
+  layer to layer, in two stages per step: ``_advance`` puts element m in a
+  block, and ``_settle`` cuts dead signatures, runs one exclusion merge and
+  relabels, so that prefixes with the same future share a state.
 
 A pattern and its reverse share one sequence, and ``count_sequence`` runs
 the cheaper of their two DPs. The DP is fast, but its memory grows with the
@@ -188,27 +189,25 @@ _NONE: frozenset[int] = frozenset()
 _ROOT = (0, (), _NONE)
 
 
-def _transfer_tables(tau: SetPartition):
+def _transfer_tables(tau: SetPartition) -> list[tuple[bool, int, bool, int]]:
     """Per-j step rules of the signature automaton for ``tau``.
 
     steps[j] = (opens_new, pos, recurs, free_after) describes matching
     pattern element j + 1: whether its block is unmet so far, its position
     among the recurring hosts (after the match when it opens), whether it
-    recurs later, and how many pattern blocks are still unmet after it.
-    free[j] counts the unmet pattern blocks after j elements.
+    recurs later, and how many pattern blocks are still unmet after it, so
+    steps[j - 1] holds the unmet count of a signature at j.
     """
-    k = tau.n
     pat = tau.rgs
-    met = [set(pat[:j]) for j in range(k + 1)]
-    free = [len(tau.blocks) - len(m) for m in met]
-    recurring = [sorted(b for b in met[j] if b in pat[j:]) for j in range(k + 1)]
+    met = [set(pat[:j]) for j in range(tau.n + 1)]
+    recurring = [sorted(b for b in met[j] if b in pat[j:]) for j in range(tau.n + 1)]
     steps = []
     for j, b in enumerate(pat):
         opens_new = b not in met[j]
         recurs = b in pat[j + 1:]
         pos = recurring[j + 1 if opens_new else j].index(b) if recurs or not opens_new else 0
-        steps.append((opens_new, pos, recurs, free[j + 1]))
-    return steps, free
+        steps.append((opens_new, pos, recurs, len(tau.blocks) - len(met[j + 1])))
+    return steps
 
 
 def _has_disjoint(sets: list[frozenset[int]], need: int, taken: frozenset[int] = _NONE, start: int = 0) -> bool:
@@ -241,105 +240,95 @@ def _merge_exclusions(excls: list[frozenset[int]], free: int) -> list[frozenset[
     return minimal
 
 
+def _advance(steps: list[tuple], sigs: frozenset, b: int) -> set | None:
+    """The signatures of a state after the next element joins its block b;
+    None when that completes an occurrence."""
+    k = len(steps)
+    out = set(sigs)
+    for j, hosts, excl in (_ROOT, *sigs):
+        opens_new, pos, recurs, free_after = steps[j]
+        if opens_new:
+            if b in hosts or b in excl:
+                continue
+            if recurs:
+                hosts = hosts[:pos] + (b,) + hosts[pos:]
+            else:
+                excl = excl | {b}
+        elif hosts[pos] != b:
+            continue
+        elif not recurs:
+            hosts = hosts[:pos] + hosts[pos + 1 :]
+            excl = excl | {b}
+        if j + 1 == k:
+            return None
+        out.add((j + 1, hosts, excl if free_after else _NONE))
+    return out
+
+
+def _settle(steps: list[tuple], raw: set, horizon: int, interned: dict) -> tuple:
+    """(named blocks, named blocks that died, confined, canonical signatures)
+    of the state that ``_advance`` left as ``raw``, with ``horizon``
+    elements still to come; each canonical signature is its copy in
+    ``interned``, which every state holding it shares: a fifth of the memory.
+
+    A signature needing more elements than are to come is cut, and so are
+    dead blocks: a block that would complete an occurrence, or, when the
+    last pattern element opens a block, every block outside the
+    intersection of the exclusions at j = k - 1, which confine each later
+    element. Then one merge by ``_merge_exclusions`` per (j, hosts).
+    """
+    top = len(steps) - 1
+    last_opens, last_pos = steps[top][:2]
+    # every signature has j >= 1, so a horizon of k - 1 keeps them all
+    sigs = raw if horizon >= top else [s for s in raw if s[0] + horizon > top]
+    last = [s for s in sigs if s[0] == top]
+    confined = bool(last) and last_opens
+    if confined:  # a signature at j = k - 1 has no hosts
+        dead = {h for _, hosts, excl in sigs for h in (*hosts, *excl)}
+        dead -= frozenset.intersection(*[excl for _, _, excl in last])
+    else:
+        dead = {hosts[last_pos] for _, hosts, _ in last}
+    groups: dict[tuple, list[frozenset[int]]] = {}
+    for j, hosts, excl in sigs:
+        if dead.isdisjoint(hosts):
+            groups.setdefault((j, hosts), []).append(excl - dead if dead else excl)
+    roles: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
+    sigs = []
+    for (j, hosts), excls in groups.items():
+        for excl in _merge_exclusions(excls, steps[j - 1][3]) if len(excls) > 1 else excls:
+            sigs.append((j, hosts, excl))
+            for i, h in enumerate(hosts):
+                roles[h].append((j, i))
+            for h in excl:
+                roles[h].append((j, -1))
+    for held in roles.values():
+        held.sort()
+    order = sorted(roles, key=lambda h: (roles[h], h))
+    r = len(order)
+    if order == list(range(r)):
+        return r, len(dead), confined, frozenset([interned.setdefault(s, s) for s in sigs])
+    relabel = dict(zip(order, range(r))).__getitem__
+    canon = []
+    for j, hosts, excl in sigs:
+        sig = (j, tuple(map(relabel, hosts)), frozenset(map(relabel, excl)) if excl else _NONE)
+        canon.append(interned.setdefault(sig, sig))
+    return r, len(dead), confined, frozenset(canon)
+
+
 def _dp_layers(tau: SetPartition, n_max: int, max_states: float = math.inf) -> Iterator[tuple]:
     """Forward transfer DP over signature-set states: yields (A_m, states in
     layer m, distinct signatures met by layer m) for m = 1..n_max, and
     raises ``CeilingError`` once a layer holds more than ``max_states`` states.
 
     A state is (unnamed live blocks, named blocks, signature set), with the
-    named blocks relabelled 0..r-1 by their roles. Besides merging
-    exclusion sets, a state drops the signatures needing more elements than
-    the n_max - m still to come, and dead blocks: a block that would
-    complete an occurrence takes no further element, so it and the
-    signatures waiting on it are forgotten. When the last pattern element
-    opens a block, a signature at j = k - 1 confines every later element to
-    its excluded blocks and the rest die.
+    named blocks relabelled 0..r-1 by their roles. Each transition runs two
+    stages: ``_advance`` adds the next element to one block, and
+    ``_settle`` cuts what can no longer matter, merges exclusion sets once
+    and relabels. A transition is remembered while the horizon cuts no
+    signature, as a signature set recurs across those layers.
     """
-    steps, free = _transfer_tables(tau)
-    k = tau.n
-    top = k - 1
-    last_opens, last_pos = steps[top][0], steps[top][1]
-
-    def advance(sigs: frozenset, b: int) -> set | None:
-        """Signatures after the next element joins block b; None when that
-        completes an occurrence."""
-        out = set(sigs)
-        for j, hosts, excl in (_ROOT, *sigs):
-            opens_new, pos, recurs, free_after = steps[j]
-            if opens_new:
-                if b in hosts or b in excl:
-                    continue
-                if recurs:
-                    hosts = hosts[:pos] + (b,) + hosts[pos:]
-                else:
-                    excl = excl | {b}
-            elif hosts[pos] != b:
-                continue
-            elif not recurs:
-                hosts = hosts[:pos] + hosts[pos + 1 :]
-                excl = excl | {b}
-            if j + 1 == k:
-                return None
-            out.add((j + 1, hosts, excl if free_after else _NONE))
-        return out
-
-    def reduce(sigs):
-        groups: dict[tuple, list[frozenset[int]]] = {}
-        for j, hosts, excl in sigs:
-            groups.setdefault((j, hosts), []).append(excl)
-        if len(groups) == len(sigs):
-            return sigs
-        return [
-            (j, hosts, excl)
-            for (j, hosts), excls in groups.items()
-            for excl in (_merge_exclusions(excls, free[j]) if len(excls) > 1 else excls)
-        ]
-
-    def settle(raw: set, horizon: int) -> tuple[int, int, bool, frozenset]:
-        """(named blocks, named blocks that died, confined, canonical sigs)."""
-        # every signature has j >= 1, so a horizon of k - 1 keeps them all
-        sigs = reduce(raw if horizon >= top else [s for s in raw if s[0] + horizon >= k])
-        last = [s for s in sigs if s[0] == top]
-        confined = bool(last) and last_opens
-        if confined:
-            dead = {h for _, hosts, excl in sigs for h in (*hosts, *excl)} - last[0][2]
-        else:
-            dead = {hosts[last_pos] for _, hosts, _ in last}
-        if dead:
-            sigs = reduce(
-                [(j, hosts, excl - dead) for j, hosts, excl in sigs if dead.isdisjoint(hosts)]
-            )
-        roles: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
-        for j, hosts, excl in sigs:
-            for i, h in enumerate(hosts):
-                roles[h].append((j, i))
-            for h in excl:
-                roles[h].append((j, -1))
-        for held in roles.values():
-            held.sort()
-        order = sorted(roles, key=lambda h: (roles[h], h))
-        r = len(order)
-        # every state holding a signature shares one copy: a fifth of the memory
-        if order == list(range(r)):
-            return r, len(dead), confined, frozenset([interned.setdefault(s, s) for s in sigs])
-        relabel = dict(zip(order, range(r))).__getitem__
-        canon = []
-        for j, hosts, excl in sigs:
-            sig = (j, tuple(map(relabel, hosts)), frozenset(map(relabel, excl)) if excl else _NONE)
-            canon.append(interned.setdefault(sig, sig))
-        return r, len(dead), confined, frozenset(canon)
-
-    def move(sigs: frozenset, b: int, horizon: int) -> tuple | None:
-        """settle(advance(sigs, b)), or None; kept while the horizon cuts no
-        signature, as a signature set recurs across those layers."""
-        if (sigs, b) in moves:
-            return moves[sigs, b]
-        raw = advance(sigs, b)
-        moved = None if raw is None else settle(raw, horizon)
-        if horizon >= top:
-            moves[sigs, b] = moved
-        return moved
-
+    steps = _transfer_tables(tau)
+    top = tau.n - 1
     moves: dict[tuple[frozenset, int], tuple | None] = {}
     interned: dict[tuple, tuple] = {}
     layer: dict[tuple[int, int, frozenset], int] = {(0, 0, _NONE): 1}
@@ -352,7 +341,13 @@ def _dp_layers(tau: SetPartition, n_max: int, max_states: float = math.inf) -> I
         for (unnamed, named, sigs), mult in layer.items():
             live = unnamed + named
             for b in range(named + 1):
-                moved = move(sigs, b, horizon)
+                if (sigs, b) in moves:
+                    moved = moves[sigs, b]
+                else:
+                    raw = _advance(steps, sigs, b)
+                    moved = None if raw is None else _settle(steps, raw, horizon, interned)
+                    if horizon >= top:
+                        moves[sigs, b] = moved
                 if moved is None:
                     continue
                 r, dead, confined, canon = moved

@@ -36,5 +36,10 @@ def test_bench_layers_writes_its_report(tmp_path, capsys):
     assert k4["patterns"]["1/2/3/4"]["peak_states"] < k4["patterns"]["14/23"]["peak_states"]
     assert dp["123/45_n11"]["ms"] > 0 and dp["123/45_n11"]["peak_states"] > 0
     assert dp["k5_n12"]["s"] > 0 and dp["k5_n12"]["peak_states"] > 1000
+    split = dp["14/23_n20"]
+    assert set(split) == {"advance_ms", "settle_ms", "settle_share"}
+    assert split["advance_ms"] > 0 and split["settle_ms"] > 0
+    assert 0 < split["settle_share"] < 1
     out = capsys.readouterr().out
     assert "find_occurrence.us.p50" in out and "dp.k4_n9.scan_ms" in out
+    assert "dp.14/23_n20.settle_share" in out

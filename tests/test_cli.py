@@ -288,6 +288,14 @@ class TestCheck:
         rc, _, err = run(capsys, "check", "12//3", "1")
         assert rc == 1 and "empty block" in err
 
+    def test_pattern_past_the_recursion_limit_is_a_ceiling(self, capsys):
+        # the search recurses once per pattern block
+        host = "/".join(map(str, range(1, 1201)))
+        pattern = "/".join(map(str, range(1, 1101)))
+        rc, out, err = run(capsys, "check", host, pattern)
+        assert rc == 3 and out == ""
+        assert err == "ceiling: containment search recursion limit exceeded by 1100 pattern blocks\n"
+
 
 class TestConjectures:
     def test_all_k3_verdicts(self, capsys):

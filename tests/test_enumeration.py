@@ -50,11 +50,11 @@ def dp_run(text, n_max):
     return [1, *(count for count, _, _ in layers)], [states for _, states, _ in layers]
 
 
-def reversal_pairs():
-    """Every multi-block pattern of [<= 5] that is not its own reverse, with
-    its reverse, one pair per orbit."""
+def reversal_pairs(ks):
+    """Every multi-block pattern of [k], k in ks, that is not its own
+    reverse, with its reverse, one pair per orbit."""
     seen = set()
-    for k in range(1, 6):
+    for k in ks:
         for tau in patterns_of(k):
             rev = reverse(tau)
             if len(tau.blocks) > 1 and rev != tau and tau not in seen:
@@ -169,8 +169,28 @@ class TestCountSequence:
     def test_reversal_symmetry_for_patterns_of_5(self):
         # the two DPs of a pattern and its reverse share no state, so each
         # checks the other, beyond the reach of the oracle and the walk
-        for tau, rev in reversal_pairs():
+        for tau, rev in reversal_pairs(range(1, 6)):
             assert dp_run(str(tau), 12)[0] == dp_run(str(rev), 12)[0], (str(tau), str(rev))
+
+    def test_reversal_symmetry_for_patterns_of_6(self):
+        for tau, rev in reversal_pairs([6]):
+            assert dp_run(str(tau), 9)[0] == dp_run(str(rev), 9)[0], (str(tau), str(rev))
+
+    @pytest.mark.parametrize(
+        ("text", "n_max", "states", "signatures"),
+        [
+            ("15/234", 11, [1, 2, 5, 12, 32, 89, 259, 786, 156, 10, 11], 94),
+            ("134/25", 11, [1, 2, 4, 9, 22, 58, 167, 517, 772, 10, 11], 93),
+            ("14/235", 11, [1, 2, 5, 12, 31, 81, 217, 590, 88, 10, 11], 97),
+            ("14/23", 16, [1, 2, 4, 7, 11, 16, 22, 29, 37, 46, 56, 67, 79, 92, 15, 16], 116),
+            ("123/45", 11, [1, 2, 3, 5, 7, 11, 16, 23, 17, 11, 11], 19),
+        ],
+    )
+    def test_dp_size_is_pinned(self, text, n_max, states, signatures):
+        # a DP that merges fewer states still counts right, so its size is pinned
+        layers = list(_dp_layers(parse(text), n_max))
+        assert [held for _, held, _ in layers] == states
+        assert layers[-1][2] == signatures
 
     @pytest.mark.parametrize(
         ("larger", "smaller"),
@@ -192,6 +212,12 @@ class TestWilfClass:
         seqs = [count_sequence(parse(t), 12) for t in self.CLASS]
         assert seqs[0] == seqs[1] == seqs[2]
         assert seqs[0][12] == 2_274_757
+
+    def test_the_class_of_the_same_form_in_6(self):
+        # [k] minus j, with j alone, for 2 <= j <= k - 1: the one such class of [6]
+        seqs = [count_sequence(parse(t), 10) for t in ("12346/5", "12356/4", "12456/3", "13456/2")]
+        assert seqs[0] == seqs[1] == seqs[2] == seqs[3]
+        assert seqs[0][10] == 106_868
 
     def test_equal_oracle_counts_to_8(self):
         for n in range(9):
