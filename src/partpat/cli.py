@@ -1,5 +1,5 @@
 """Command-line harness: counting runs, containment queries, conjecture
-scans, bound audits, graph conversion, and cache management.
+scans, bound audits, graph conversion, permeability and uniform partitions.
 
 Exit codes: 0 success (a reader that closes stdout early, as ``| head``
 does, ends the run quietly with 0), 1 invalid input (or a file that cannot
@@ -9,11 +9,12 @@ over its state cap, n past ``--oracle-ceiling`` under ``--oracle``, k past
 ``--k-ceiling`` under ``--all-k``, or a ``check`` pattern of some 1,000
 blocks or more, past the containment search's recursion limit.
 ``--oracle-ceiling`` must lie in 0..12 and ``--k-ceiling`` be >= 1, or the
-scan exits 1. Trend verdicts from the conjecture scans never change the
-exit status; only exact claims do, and a probe of a pattern with no row at
-n >= 2 with a positive count reports ``degenerate``. ``conjectures --all-k
-K`` needs K >= 1 and ``bounds --all-k K``, which audits the layered shapes
-of size 2..K, needs K >= 2.
+scan exits 1. No conjecture verdict changes the exit status: a trend is
+reported, a conjecture-1 counterexample reports ``fail`` and exits 0, and
+a probe of a pattern with no row at n >= 2 with a positive count reports
+``degenerate``; among the scans only ``bounds`` exits 2, on a broken
+theorem check. ``conjectures --all-k K`` needs K >= 1 and ``bounds
+--all-k K``, which audits the layered shapes of size 2..K, needs K >= 2.
 
 The scans ``count``, ``conjectures`` and ``bounds`` print through one
 report path, as CSV or JSON, to ``--out`` or stdout; a scan refused at a
@@ -35,6 +36,7 @@ from typing import Any, Sequence
 
 from .containment import find_occurrence
 from .core import (
+    CeilingError,
     LayeredShape,
     SetPartition,
     format_partition,
@@ -46,7 +48,6 @@ from .core import (
 from .dacp import DacpError, dacp_from_obj, dacp_to_obj, from_dacp, to_dacp
 from .enumeration import (
     DEFAULT_ORACLE_CEILING,
-    CeilingError,
     CountCache,
     CountRecord,
     all_partitions,
@@ -218,11 +219,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     host = parse(args.host)
     pattern = parse(args.pattern)
-    try:
-        occ = find_occurrence(host, pattern)
-    except RecursionError:  # the search recurses once per pattern block
-        blocks = len(pattern.blocks)
-        raise CeilingError(f"containment search recursion limit exceeded by {blocks} pattern blocks")
+    occ = find_occurrence(host, pattern)
     if args.format == "json":
         doc = {
             "host": format_partition(host),

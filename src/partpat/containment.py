@@ -23,6 +23,7 @@ from bisect import bisect_left
 from typing import Sequence
 
 from .core import (
+    CeilingError,
     LayeredShape,
     SetPartition,
     _increasing_ints,
@@ -103,7 +104,10 @@ def _least_image(
     binding = [-1] * len(pattern.blocks)
     used = [False] * len(host_blocks)
     image = [0] * k
-    found = _extend(0, 1, n, k, pattern.rgs, pattern.blocks, host_blocks, host_block, binding, used, image)
+    try:
+        found = _extend(0, 1, n, k, pattern.rgs, pattern.blocks, host_blocks, host_block, binding, used, image)
+    except RecursionError:  # _extend recurses once per pattern block
+        raise CeilingError(f"containment search recursion limit exceeded by {len(pattern.blocks)} pattern blocks") from None
     return image if found else None
 
 

@@ -18,6 +18,7 @@ from operator import lt
 from typing import Any, Iterable
 
 __all__ = [
+    "CeilingError",
     "IntervalCut",
     "LayeredShape",
     "ParseError",
@@ -32,6 +33,16 @@ __all__ = [
     "sba",
     "standardize",
 ]
+
+
+class CeilingError(RuntimeError):
+    """A resource ceiling refused the work: the transfer DP's state cap, an
+    n or k ceiling, or a containment search's recursion limit. ``counts``
+    holds the exact A_0..A_m-1 below a refused DP layer m."""
+
+    def __init__(self, message: str, counts: list[int] | None = None) -> None:
+        super().__init__(message)
+        self.counts = counts or []
 
 
 class ParseError(ValueError):

@@ -18,7 +18,7 @@ from itertools import combinations
 from operator import index
 from typing import Any, Iterable
 
-from .core import SetPartition, _Value
+from .core import CeilingError, SetPartition, _Value
 
 __all__ = [
     "Dacp",
@@ -156,17 +156,14 @@ def from_dacp(g: Dacp) -> SetPartition:
 
     Vertices are ranked by a linear extension of the edge order (an edge
     a -> b places b strictly below a); complement components become the
-    blocks. The checks of ``validate_dacp`` leave as many edges as the
-    partition has cross-block pairs, so a final check that each ranked edge
-    is such a pair, a > b in different blocks, guards against inconsistent
-    edges between equivalence classes, which those checks exclude.
+    blocks. Once ``validate_dacp``'s checks pass, every edge a -> b is a
+    cross-block pair with rank[a] > rank[b], so nothing is checked after
+    them: the sort ranks b below a; vertices in different components are
+    adjacent, and acyclicity leaves each such pair one edge; and g has as
+    many edges as cross-component pairs, so no edge lies inside a block.
     """
     components, rank = _scan(g)
-    partition = SetPartition(g.n, [[rank[v] for v in comp] for comp in components])
-    bo = partition.block_of
-    if not all(rank[a] > rank[b] and bo[rank[a]] != bo[rank[b]] for a, b in g.edges):
-        raise DacpError("inconsistent edges between equivalence classes")
-    return partition
+    return SetPartition(g.n, [[rank[v] for v in comp] for comp in components])
 
 
 def dacp_contains(host: Dacp, pattern: Dacp) -> bool:
@@ -191,7 +188,10 @@ def dacp_contains(host: Dacp, pattern: Dacp) -> bool:
         [1 if pm[i][2] >> j & 1 else 2 if pm[i][1] >> j & 1 else 0 for j in range(1, i)]
         for i in range(1, k + 1)
     ]
-    return _place(0, wants, host.masks, [0] * k, (1 << (n + 1)) - 2)
+    try:
+        return _place(0, wants, host.masks, [0] * k, (1 << (n + 1)) - 2)
+    except RecursionError:  # _place recurses once per pattern vertex
+        raise CeilingError(f"graph containment search recursion limit exceeded by {k} pattern vertices") from None
 
 
 def _place(

@@ -54,11 +54,10 @@ from pathlib import Path
 from typing import Iterator
 
 from .containment import _extend, _least_image
-from .core import SetPartition, _Value, format_partition, reverse, sba
+from .core import CeilingError, SetPartition, _Value, format_partition, reverse, sba
 from .formulas import block_recursion
 
 __all__ = [
-    "CeilingError",
     "CountCache",
     "CountRecord",
     "DEFAULT_ORACLE_CEILING",
@@ -88,15 +87,6 @@ _DP_MAX_STATES = 200_000
 # cost better than states do: at layer 7, 134/25 holds fewer states than its
 # reverse, whose DP is yet the cheaper one.
 _PROBE_DEPTH = 4
-
-
-class CeilingError(RuntimeError):
-    """A configured resource ceiling would be exceeded; ``counts`` holds the
-    exact A_0..A_m-1 below a refused DP layer m."""
-
-    def __init__(self, message: str, counts: list[int] | None = None) -> None:
-        super().__init__(message)
-        self.counts = counts or []
 
 
 class CountRecord(_Value):
@@ -318,7 +308,7 @@ def _settle(steps: list[tuple], raw: set, horizon: int, interned: dict) -> tuple
 def _dp_layers(tau: SetPartition, n_max: int, max_states: float = math.inf) -> Iterator[tuple]:
     """Forward transfer DP over signature-set states: yields (A_m, states in
     layer m, distinct signatures met by layer m) for m = 1..n_max, and
-    raises ``CeilingError`` once a layer holds more than ``max_states`` states.
+    ends, without yielding it, at the first layer of over ``max_states`` states.
 
     A state is (unnamed live blocks, named blocks, signature set), with the
     named blocks relabelled 0..r-1 by their roles. Each transition runs two
@@ -332,7 +322,6 @@ def _dp_layers(tau: SetPartition, n_max: int, max_states: float = math.inf) -> I
     moves: dict[tuple[frozenset, int], tuple | None] = {}
     interned: dict[tuple, tuple] = {}
     layer: dict[tuple[int, int, frozenset], int] = {(0, 0, _NONE): 1}
-    counts = [1]
     for m in range(1, n_max + 1):
         horizon = n_max - m
         if horizon == top - 1:
@@ -356,16 +345,16 @@ def _dp_layers(tau: SetPartition, n_max: int, max_states: float = math.inf) -> I
                     if ways:
                         nxt[0 if confined else live + grown - dead - r, r, canon] += mult * ways
             if len(nxt) > max_states:
-                raise CeilingError(f"DP state cap {max_states} exceeded at layer m={m}", counts)
+                return
         layer = nxt
-        counts.append(sum(layer.values()))
-        yield counts[-1], len(layer), len(interned)
+        yield sum(layer.values()), len(layer), len(interned)
 
 
 def _dp_sequence(tau: SetPartition, n_max: int) -> Iterator[tuple]:
     """``_dp_layers`` of tau or of its reverse, whichever has met fewer
     signatures by layer _PROBE_DEPTH; a tie keeps tau. The probe's layers
-    are kept, not recounted."""
+    are kept, not recounted. At ``_DP_MAX_STATES`` neither stops inside
+    the probe: a layer m <= 4 holds at most Bell(4) = 15 states."""
     dps = [_dp_layers(t, n_max, _DP_MAX_STATES) for t in dict.fromkeys((tau, reverse(tau)))]
     heads = [list(islice(dp, _PROBE_DEPTH)) for dp in dps]
     best = min(range(len(dps)), key=lambda i: heads[i][-1][2] if heads[i] else 0)
@@ -399,13 +388,11 @@ def count_sequence(tau: SetPartition, n_max: int) -> list[int]:
         if tau.n == 1:
             return [1] + [0] * n_max
         return block_recursion(tau.n, max(n_max, 1))[: n_max + 1]
-    try:
-        return [1, *(count for count, _, _ in _dp_sequence(tau, n_max))]
-    except CeilingError as exc:  # name tau, whichever direction was counted
-        at = f"at layer m={len(exc.counts)} (n={n_max})"
-        raise CeilingError(
-            f"DP state cap {_DP_MAX_STATES} exceeded by {format_partition(tau)} {at}", exc.counts
-        ) from None
+    counts = [1, *(count for count, _, _ in _dp_sequence(tau, n_max))]
+    if len(counts) <= n_max:  # the DP refused layer len(counts); name tau, whichever direction ran
+        at = f"at layer m={len(counts)} (n={n_max})"
+        raise CeilingError(f"DP state cap {_DP_MAX_STATES} exceeded by {format_partition(tau)} {at}", counts)
+    return counts
 
 
 def count_avoiders(tau: SetPartition, n: int) -> CountRecord:

@@ -415,6 +415,27 @@ class TestConjectures:
         assert err.count("conjecture 5 tau=123:") == 1
         assert err.count("conjecture 5 tau=12/3:") == 1
 
+    def test_conjecture_one_counterexample_fails_and_exits_0(self, capsys, monkeypatch):
+        # 13/2, its own reverse, is made to outnumber the block 123 at n = 4
+        real = cli.count_sequence
+
+        def inflated(tau, n_max):
+            seq = real(tau, n_max)
+            if str(tau) == "13/2":
+                seq[4] = 100
+            return seq
+
+        monkeypatch.setattr(cli, "count_sequence", inflated)
+        rc, out, err = run(
+            capsys, "conjectures", "--all-k", "3", "--n-from", "1", "--n-to", "5",
+            "--no-cache", "--format", "json",
+        )
+        assert rc == 0  # a trend or conjecture verdict never changes the exit status
+        assert "conjecture 1: fail (A_n(block) < A_n(13/2) at n=4)\n" in err
+        [one] = [v for v in json.loads(out)["verdicts"] if v["conjecture"] == "1"]
+        assert one["status"] == "fail"
+        assert one["counterexample"] == {"tau": "13/2", "n": 4, "count": "100", "block_count": "10"}
+
     def test_state_cap_prints_the_exact_rows_and_no_verdict(self, capsys, monkeypatch):
         # 12/34 outgrows a cap of 10 states in layer 7; 123 takes the closed
         # form, and 1/2 comes after the refusal

@@ -6,7 +6,9 @@ import random
 
 import pytest
 
+import partpat
 from partpat import (
+    CeilingError,
     EmbeddingError,
     LayeredShape,
     Occurrence,
@@ -83,6 +85,17 @@ class TestContains:
 
     def test_interleaved_does_not_contain_separated(self):
         assert not contains(parse("13/24"), parse("12/34"))
+
+    def test_pattern_past_the_recursion_limit_is_a_ceiling(self):
+        # the search recurses once per pattern block
+        host = SetPartition(1200, [(e,) for e in range(1, 1201)])
+        pattern = SetPartition(1100, [(e,) for e in range(1, 1101)])
+        for search in (contains, find_occurrence):
+            with pytest.raises(CeilingError) as refused:
+                search(host, pattern)
+            assert str(refused.value) == "containment search recursion limit exceeded by 1100 pattern blocks"
+        # the exception is core's, under every name
+        assert partpat.CeilingError is partpat.core.CeilingError is partpat.enumeration.CeilingError
 
     def test_empty_pattern_rejected(self):
         with pytest.raises(ValueError, match="pattern must be nonempty"):

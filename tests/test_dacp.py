@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import inspect
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from partpat import (
+    CeilingError,
     Dacp,
     DacpError,
     SetPartition,
@@ -74,6 +77,25 @@ class TestFromDacp:
     def test_roundtrip_small(self):
         for p in partitions_up_to(6):
             assert from_dacp(to_dacp(p)) == p
+
+    def test_every_loop_free_digraph_on_up_to_4_vertices(self):
+        # from_dacp checks nothing after validate_dacp's checks: each graph
+        # they accept is isomorphic to the image of the partition it gives
+        for n in range(5):
+            pairs = list(itertools.permutations(range(1, n + 1), 2))
+            for chosen in itertools.product((False, True), repeat=len(pairs)):
+                g = Dacp(n, [pair for pair, keep in zip(pairs, chosen) if keep])
+                try:
+                    validate_dacp(g)
+                except DacpError as fault:
+                    with pytest.raises(DacpError) as again:
+                        from_dacp(g)
+                    assert str(again.value) == str(fault)
+                    continue
+                p = from_dacp(g)
+                image = to_dacp(p)
+                assert p.n == g.n and len(image.edges) == len(g.edges)
+                assert dacp_contains(g, image), sorted(g.edges)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -178,6 +200,19 @@ class TestDacpContains:
             with pytest.raises(DacpError) as fault:
                 dacp_contains(host, pattern)
             assert str(fault.value) == message
+
+    def test_pattern_past_the_recursion_limit_is_a_ceiling(self):
+        # the search recurses once per pattern vertex; a lowered limit keeps the graphs small
+        host = to_dacp(SetPartition(320, [(e,) for e in range(1, 321)]))
+        pattern = to_dacp(SetPartition(300, [(e,) for e in range(1, 301)]))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 200)
+        try:
+            with pytest.raises(CeilingError) as refused:
+                dacp_contains(host, pattern)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert str(refused.value) == "graph containment search recursion limit exceeded by 300 pattern vertices"
 
     def test_equivalence_with_partition_containment(self):
         # moderate sweep; the acceptance suite covers hosts up to n = 7

@@ -145,6 +145,11 @@ class TestCountSequence:
         # a pattern whose layers stay under the cap is counted
         assert count_sequence(parse("14/2/3"), 9) == dp_sequence(parse("14/2/3"), 9)
 
+    def test_the_dp_stops_at_its_cap_without_raising(self):
+        # count_sequence raises the one refusal; the DP yields the layers under the cap and ends
+        layers = list(_dp_layers(parse("12/34"), 9, 10))
+        assert [count for count, _, _ in layers] == dp_sequence(parse("12/34"), 6)[1:]
+
     def test_one_block_pattern_uses_the_block_recursion(self, monkeypatch):
         def no_dp(tau, n_max, max_states=math.inf):
             raise AssertionError("the DP was asked for a one-block pattern")
