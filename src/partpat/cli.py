@@ -57,7 +57,7 @@ from .enumeration import (
     uniform_count,
     uniform_partitions,
 )
-from .formulas import log_lower_bound_uniform, log_upper_bound_layered
+from .formulas import log_upper_bound_layered
 
 __all__ = ["main"]
 
@@ -161,7 +161,7 @@ def _scan_rows(tau: SetPartition, records: Sequence[CountRecord]) -> list[dict[s
     target = 1.0 - 1.0 / pm if pm >= 1 else None
     rows = []
     for rec in records:
-        f = f_ratio(rec) if rec.n >= 2 and rec.count > 0 else None
+        f = f_ratio(rec)
         gap = target - f if target is not None and f is not None else None
         rows.append(
             {
@@ -449,11 +449,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             n = rec.n
             ln_count = math.log(rec.count) if rec.count > 0 else None
             upper = log_upper_bound_layered(k, r, n)
-            lower = None
-            if t == 1:
-                lower = 0.0
-            elif n % t == 0:
-                lower = log_lower_bound_uniform(t, n)
+            lower = math.log(uniform_count(n, t)) if n % t == 0 else None
             within = (
                 ln_count is not None
                 and ln_count <= upper + 1e-9
@@ -471,7 +467,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
                     "r": r,
                     "n": n,
                     "count": str(rec.count),
-                    "f_ratio": f_ratio(rec) if n >= 2 and rec.count > 0 else None,
+                    "f_ratio": f_ratio(rec),
                     "ln_count": ln_count,
                     "lower_bound": lower,
                     "upper_bound": upper,
@@ -631,6 +627,9 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        # the digit limit guards untrusted text; counts here are exact and can be long
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

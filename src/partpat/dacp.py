@@ -225,6 +225,8 @@ def dacp_from_obj(obj: Any) -> Dacp:
     n = obj["n"]
     if not isinstance(n, int) or isinstance(n, bool):
         raise DacpError('"n" must be an integer')
+    if not isinstance(obj["edges"], list):
+        raise DacpError('"edges" must be a list')
     edges = []
     for item in obj["edges"]:
         if (

@@ -4,10 +4,10 @@
 avoider counts, and ``count_avoiders(tau, n)`` is its entry n. It counts
 by one of two exact methods:
 
-- Closed form. The partitions avoiding the one-block pattern of [k],
-  k >= 2, are those whose blocks hold at most k - 1 elements, which
-  ``formulas.block_recursion`` counts at any depth; only the empty
-  partition avoids the pattern 1.
+- Closed form. The partitions avoiding the one-block pattern of [k] are
+  those whose blocks hold at most k - 1 elements, which
+  ``formulas.block_recursion`` counts at any depth, down to k = 1, where
+  only the empty partition avoids.
 - A forward transfer DP, for every other pattern. Every partition of [m]
   is an extension of one of [m - 1] by element m, and the avoiders of [n]
   extending an avoiding prefix depend only on the set of partial
@@ -372,9 +372,9 @@ def _validate_args(tau: SetPartition, n: int) -> None:
 def count_sequence(tau: SetPartition, n_max: int) -> list[int]:
     """Exact avoider counts [A_0, A_1, ..., A_n_max] of tau.
 
-    A one-block pattern of [k] is counted in closed form: by the block
-    recursion for k >= 2, and for k = 1 as 1, 0, 0, ..., since every
-    nonempty partition contains the pattern 1. Any other pattern is counted
+    A one-block pattern of [k] is counted in closed form, by the block
+    recursion; for k = 1 that gives 1, 0, 0, ..., since every nonempty
+    partition contains the pattern 1. Any other pattern is counted
     by the transfer DP of tau or of its reverse, which share one sequence
     but whose DPs can differ tenfold in size: both run 4 layers, and the one
     that has met fewer distinct signatures goes on. No n_max is refused up
@@ -385,9 +385,7 @@ def count_sequence(tau: SetPartition, n_max: int) -> list[int]:
     """
     _validate_args(tau, n_max)
     if len(tau.blocks) == 1:
-        if tau.n == 1:
-            return [1] + [0] * n_max
-        return block_recursion(tau.n, max(n_max, 1))[: n_max + 1]
+        return block_recursion(tau.n, n_max)
     counts = [1, *(count for count, _, _ in _dp_sequence(tau, n_max))]
     if len(counts) <= n_max:  # the DP refused layer len(counts); name tau, whichever direction ran
         at = f"at layer m={len(counts)} (n={n_max})"
@@ -437,20 +435,19 @@ def count_avoiders_oracle(
     return CountRecord(format_partition(tau), n, total)
 
 
-def f_ratio(record: CountRecord) -> float:
-    """ln(count) / (n ln n), the normalized log-growth exponent; needs n >= 2.
+def f_ratio(record: CountRecord) -> float | None:
+    """F_n = ln(count) / (n ln n), the normalized log-growth exponent, or
+    None where it is undefined: for n < 2, or for a zero count, which only
+    the pattern 1 has, at every n >= 1. A negative count raises ValueError.
 
     ``math.log`` evaluates exact integers of any magnitude directly, so the
     relative error stays at float precision even when the count overflows
     a double.
     """
-    if record.n < 2:
-        raise ValueError("f_ratio requires n >= 2")
-    if record.count <= 0:
-        raise RuntimeError(
-            f"internal error: avoider count {record.count} for tau={record.tau}, "
-            f"n={record.n} should be positive"
-        )
+    if record.count < 0:
+        raise ValueError(f"negative avoider count {record.count} for tau={record.tau}, n={record.n}")
+    if record.n < 2 or record.count == 0:
+        return None
     return math.log(record.count) / (record.n * math.log(record.n))
 
 

@@ -12,7 +12,6 @@ import math
 __all__ = [
     "bell",
     "block_recursion",
-    "log_lower_bound_uniform",
     "log_upper_bound_block",
     "log_upper_bound_layered",
     "singleton_count",
@@ -51,15 +50,16 @@ def stirling2(n: int, j: int) -> int:
 
 def block_recursion(k: int, n_max: int) -> list[int]:
     """f(0..n_max) where f(n) counts partitions of [n] with all blocks of
-    size at most k - 1, via f(n+1) = sum_{i=0}^{k-2} C(n, i) f(n-i).
+    size at most k - 1, the avoiders of the one-block pattern of [k], via
+    f(0) = 1 and f(n+1) = sum_{i=0}^{k-2} C(n, i) f(n-i).
 
-    The base f(0) = 1 is forced by f(1) = 1. For k = 3 this is
+    For k = 1 the sum is empty, so f is 1, 0, 0, ... For k = 3 it is
     1, 1, 2, 4, 10, 26, ... (partitions into singletons and pairs).
     """
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     f = [1]
     for n in range(n_max):
         f.append(sum(math.comb(n, i) * f[n - i] for i in range(min(k - 1, n + 1))))
@@ -105,12 +105,3 @@ def log_upper_bound_layered(k: int, r: int, n: int) -> float:
     if n < 1:
         raise ValueError("n must be >= 1")
     return 2 * n * math.log((k + 1) / 2.0) + n * (1.0 - 1.0 / (k - r)) * math.log(n)
-
-
-def log_lower_bound_uniform(t: int, n: int) -> float:
-    """ln of (n/t)!^(t-1), the number of uniform partitions with t sections."""
-    if t < 2:
-        raise ValueError("t must be >= 2")
-    if n % t:
-        raise ValueError(f"t={t} does not divide n={n}")
-    return (t - 1) * math.log(math.factorial(n // t))

@@ -5,11 +5,12 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 
 import pytest
 
 import partpat.cli as cli
-from partpat import all_partitions, block_recursion, enumeration, parse, singleton_count
+from partpat import all_partitions, block_recursion, enumeration, parse, singleton_count, uniform_count
 from partpat.cli import main
 from partpat.enumeration import _walk_sequence
 
@@ -503,6 +504,18 @@ class TestBounds:
         assert rc == 0
         assert [line.split(",")[3] for line in out.strip().splitlines()[1:]] == ["1", "2"]
 
+    def test_lower_bound_is_the_log_of_the_uniform_count(self, capsys):
+        # ln (n/t)!^(t-1) for t = k - r sections where t divides n, 0.0 at t = 1, and null otherwise
+        rc, out, _ = run(
+            capsys, "bounds", "--all-k", "5", "--n-from", "1", "--n-to", "12", "--format", "json", "--no-cache"
+        )
+        assert rc == 0
+        rows = json.loads(out)
+        assert {row["k"] - row["r"] for row in rows} == {1, 2, 3, 4}
+        for row in rows:
+            n, t = row["n"], row["k"] - row["r"]
+            assert row["lower_bound"] == (math.log(uniform_count(n, t)) if n % t == 0 else None), row
+
     def test_malformed_shape(self, capsys):
         rc, _, err = run(
             capsys, "bounds", "--shape", "2;2", "--n-from", "1", "--n-to", "4", "--no-cache"
@@ -711,6 +724,21 @@ def test_cli_import_leaves_the_process_pool_unloaded(module):
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=_child_env()
     )
     assert out.stdout.strip() == "False"
+
+
+def test_counts_past_the_int_text_limit(tmp_path):
+    # A_3000(123) has more than the 4,300 digits that Python converts between
+    # int and text by default; Decimal reads the printed count past that limit.
+    # The second and third runs write the row to the cache and read it back.
+    argv = ["count", "--pattern", "123", "--n-from", "3000", "--n-to", "3000", "--format", "json"]
+    cache = ["--cache", str(tmp_path / "counts.jsonl")]
+    for extra in (["--no-cache"], cache, cache):
+        proc = subprocess.run(
+            [sys.executable, "-m", "partpat.cli", *argv, *extra],
+            capture_output=True, text=True, env=_child_env(), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert Decimal(json.loads(proc.stdout)[0]["count"]) == block_recursion(3, 3000)[3000]
 
 
 @pytest.mark.parametrize(

@@ -245,3 +245,6 @@ class TestSerialization:
             dacp_from_obj({"n": 4, "edges": [[1, 2, 3]]})
         with pytest.raises(DacpError):
             dacp_from_obj({"n": 4, "edges": [[1, "2"]]})
+        for edges in (None, 5, True):
+            with pytest.raises(DacpError, match='^"edges" must be a list$'):
+                dacp_from_obj({"n": 2, "edges": edges})

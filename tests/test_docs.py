@@ -1,7 +1,7 @@
 """The documentation examples run: each partpat module's docstrings and the
 README's library session. The package exports each library module's
-public names, and the README names every scan flag and no flag the CLI
-lacks."""
+public names, the README names every scan flag and no flag the CLI
+lacks, and the package's version agrees with pyproject.toml."""
 
 from __future__ import annotations
 
@@ -17,7 +17,8 @@ import pytest
 import partpat
 from partpat import cli
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 MODULES = ["partpat"] + sorted(m.name for m in pkgutil.iter_modules(partpat.__path__, "partpat."))
 
 
@@ -57,3 +58,9 @@ def test_readme_flags_match_the_parser():
     scan = argparse.ArgumentParser()
     cli._add_scan_flags(scan)
     assert _options(scan) - {"-h", "--help"} - named == set()
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        assert tomllib.load(f)["project"]["version"] == partpat.__version__

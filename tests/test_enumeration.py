@@ -363,13 +363,17 @@ class TestFRatio:
         n = 400
         assert f_ratio(CountRecord("x", n, n**n)) == pytest.approx(1.0, abs=1e-12)
 
-    def test_small_n_rejected(self):
-        with pytest.raises(ValueError):
-            f_ratio(CountRecord("12", 1, 1))
+    def test_small_n_gives_none(self):
+        assert f_ratio(CountRecord("12", 1, 1)) is None
+        assert f_ratio(CountRecord("12", 0, 1)) is None
 
-    def test_zero_count_is_internal_error(self):
-        with pytest.raises(RuntimeError):
-            f_ratio(CountRecord("1", 5, 0))
+    def test_zero_count_gives_none(self):
+        # A_5(1) = 0 is a true count: only the empty partition avoids 1
+        assert f_ratio(CountRecord("1", 5, 0)) is None
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError):
+            f_ratio(CountRecord("12", 5, -1))
 
 
 class TestUniformPartitions:

@@ -9,11 +9,11 @@ from partpat import (
     all_partitions,
     bell,
     block_recursion,
-    log_lower_bound_uniform,
     log_upper_bound_block,
     log_upper_bound_layered,
     singleton_count,
     stirling2,
+    uniform_count,
 )
 
 from partpat import formulas, parse
@@ -69,6 +69,7 @@ class TestBlockRecursion:
         f = block_recursion(3, 10)
         assert f[1:] == [1, 2, 4, 10, 26, 76, 232, 764, 2620, 9496]
         assert f[0] == 1
+        assert block_recursion(3, 0) == [1]
 
     def test_k2_is_constant_one(self):
         assert block_recursion(2, 12) == [1] * 13
@@ -83,8 +84,9 @@ class TestBlockRecursion:
             assert f == [1, *(count for count, _, _ in _dp_layers(tau, 10))], k
 
     def test_counts_bounded_block_sizes(self):
-        # f(n) equals the number of partitions with all blocks of size < k
-        for k in (3, 4):
+        # f(n) equals the number of partitions with all blocks of size < k;
+        # for k = 1 that is only the empty partition
+        for k in (1, 3, 4):
             f = block_recursion(k, 7)
             for n in range(8):
                 direct = sum(
@@ -96,9 +98,9 @@ class TestBlockRecursion:
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            block_recursion(1, 5)
+            block_recursion(0, 5)
         with pytest.raises(ValueError):
-            block_recursion(3, 0)
+            block_recursion(3, -1)
 
 
 class TestSingletonCount:
@@ -193,30 +195,12 @@ class TestLogUpperBoundLayered:
 
 
 class TestLogLowerBoundUniform:
+    # the bounds audit's lower bound: ln (n/t)!^(t-1), the log of the uniform count
     def test_t2_n4(self):
-        assert log_lower_bound_uniform(2, 4) == pytest.approx(math.log(2))
+        assert math.log(uniform_count(4, 2)) == pytest.approx(math.log(2))
 
     def test_t2_n2(self):
-        assert log_lower_bound_uniform(2, 2) == 0.0
+        assert math.log(uniform_count(2, 2)) == 0.0
 
     def test_t3_n6(self):
-        assert log_lower_bound_uniform(3, 6) == pytest.approx(2 * math.log(2))
-
-    def test_indivisible_rejected(self):
-        with pytest.raises(ValueError):
-            log_lower_bound_uniform(2, 5)
-        with pytest.raises(ValueError):
-            log_lower_bound_uniform(1, 4)
-
-    def test_below_counts_out_to_12(self):
-        for t in (2, 3):
-            for k in range(2, 6):
-                for parts in compositions(k):
-                    if k - len(parts) != t:
-                        continue
-                    tau = str(LayeredShape(parts).to_partition())
-                    for n in range(t, 13, t):
-                        assert (
-                            log_lower_bound_uniform(t, n)
-                            <= math.log(cached_count(tau, n)) + 1e-9
-                        ), (parts, n)
+        assert math.log(uniform_count(6, 3)) == pytest.approx(2 * math.log(2))
