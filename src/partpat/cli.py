@@ -5,16 +5,15 @@ Exit codes: 0 success (a reader that closes stdout early, as ``| head``
 does, ends the run quietly with 0), 1 invalid input (or a file that cannot
 be read or written), 2 hard assertion failure (a desk-scale theorem check or
 internal identity broke), 3 resource ceiling exceeded: a transfer-DP layer
-over its state cap, n past ``--oracle-ceiling`` under ``--oracle``, k past
-``--k-ceiling`` under ``--all-k``, or a ``check`` pattern of some 1,000
-blocks or more, past the containment search's recursion limit.
-``--oracle-ceiling`` must lie in 0..12 and ``--k-ceiling`` be >= 1, or the
-scan exits 1. No conjecture verdict changes the exit status: a trend is
-reported, a conjecture-1 counterexample reports ``fail`` and exits 0, and
-a probe of a pattern with no row at n >= 2 with a positive count reports
-``degenerate``; among the scans only ``bounds`` exits 2, on a broken
-theorem check. ``conjectures --all-k K`` needs K >= 1 and ``bounds
---all-k K``, which audits the layered shapes of size 2..K, needs K >= 2.
+over its state cap, k past ``--k-ceiling`` under ``--all-k``, or a ``check``
+pattern of some 1,000 blocks or more, past the containment search's
+recursion limit. ``--k-ceiling`` must be >= 1, or the scan exits 1. No
+conjecture verdict changes the exit status: a trend is reported, a
+conjecture-1 counterexample reports ``fail`` and exits 0, and a probe of a
+pattern with no row at n >= 2 with a positive count reports ``degenerate``;
+among the scans only ``bounds`` exits 2, on a broken theorem check.
+``conjectures --all-k K`` needs K >= 1 and ``bounds --all-k K``, which
+audits the layered shapes of size 2..K, needs K >= 2.
 
 The scans ``count``, ``conjectures`` and ``bounds`` print through one
 report path, as CSV or JSON, to ``--out`` or stdout; a scan refused at a
@@ -47,11 +46,10 @@ from .core import (
 )
 from .dacp import DacpError, dacp_from_obj, dacp_to_obj, from_dacp, to_dacp
 from .enumeration import (
-    DEFAULT_ORACLE_CEILING,
     CountCache,
     CountRecord,
+    _long_int_text,
     all_partitions,
-    count_avoiders_oracle,
     count_sequence,
     f_ratio,
     uniform_count,
@@ -100,14 +98,8 @@ def _check_scan_flags(args: argparse.Namespace) -> None:
         raise ValueError(f"worker count must be between 1 and {cpus}, the CPU count")
     if args.n_from < 0 or args.n_to < args.n_from:
         raise ValueError("n range is empty or negative")
-    if args.oracle_ceiling > 12:
-        raise ValueError("oracle ceiling must be <= 12")
-    if args.oracle_ceiling < 0:
-        raise ValueError("--oracle-ceiling must be >= 0")
     if args.k_ceiling < 1:
         raise ValueError("--k-ceiling must be >= 1")
-    if args.oracle and args.n_to > args.oracle_ceiling:
-        raise CeilingError(f"oracle ceiling {args.oracle_ceiling} exceeded by n={args.n_to}")
 
 
 def _scan(
@@ -118,11 +110,10 @@ def _scan(
     a refused DP layer. The scan stops there, and the records before it are
     exact.
 
-    A cache miss is counted by the oracle under ``--oracle``; otherwise each
-    reversal orbit is counted once per scan: a pattern and its reverse have
-    one sequence, and the first miss of either asks ``count_sequence`` for
-    every n up to ``--n-to``. The cache is ``--cache``, else
-    ``$PARTPAT_CACHE``, and none under ``--no-cache``.
+    Each reversal orbit is counted once per scan: a pattern and its reverse
+    have one sequence, and the first cache miss of either asks
+    ``count_sequence`` for every n up to ``--n-to``. The cache is
+    ``--cache``, else ``$PARTPAT_CACHE``, and none under ``--no-cache``.
     """
     path = None if args.no_cache else args.cache or os.environ.get(CACHE_ENV_VAR)
     cache = CountCache(path) if path else None
@@ -133,13 +124,8 @@ def _scan(
         records: list[CountRecord] = []
         counted.append(records)
         for n in ns:
-            hit = cache.get(text, n) if cache is not None else None
-            if hit is not None:
-                records.append(CountRecord(text, n, hit))
-                continue
-            if args.oracle:
-                record = count_avoiders_oracle(tau, n, ceiling=args.oracle_ceiling)
-            else:
+            count = cache.get(text, n) if cache is not None else None
+            if count is None:
                 if text not in sequences:
                     try:
                         got = count_sequence(tau, args.n_to), None
@@ -149,10 +135,10 @@ def _scan(
                 seq, refused = sequences[text]
                 if n >= len(seq):
                     return counted, refused
-                record = CountRecord(text, n, seq[n])
-            if cache is not None:
-                cache.add(record)
-            records.append(record)
+                count = seq[n]
+                if cache is not None:
+                    cache.add(CountRecord(text, n, count))
+            records.append(CountRecord(text, n, count))
     return counted, None
 
 
@@ -570,8 +556,6 @@ def _add_scan_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--no-cache", action="store_true", help="disable the count cache")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--out", help="write the report here instead of stdout")
-    sub.add_argument("--oracle", action="store_true", help="force the unpruned oracle counter")
-    sub.add_argument("--oracle-ceiling", type=int, default=DEFAULT_ORACLE_CEILING)
     sub.add_argument("--k-ceiling", type=int, default=DEFAULT_K_CEILING)
 
 
@@ -627,13 +611,11 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):
-        # the digit limit guards untrusted text; counts here are exact and can be long
-        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        code = args.func(args)
+        with _long_int_text():  # counts are exact and can be long
+            code = args.func(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -49,6 +49,7 @@ import json
 import math
 import sys
 from collections import defaultdict
+from contextlib import contextmanager
 from itertools import islice, permutations, product
 from pathlib import Path
 from typing import Iterator
@@ -498,15 +499,31 @@ def uniform_avoids(tau: SetPartition, t: int) -> bool:
     return sba(tau) >= t
 
 
+@contextmanager
+def _long_int_text() -> Iterator[None]:
+    """Lift Python's int/text digit limit inside the block, then restore it:
+    exact counts run past it, and the limit is the process's to set. The
+    limit is process-wide, so other threads see the lift while it holds."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # a Python with no limit
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 class CountCache:
     """Append-only JSON-lines store of count records, keyed by (tau, n).
 
     Each line is {"tau": str, "n": int, "count": str}; counts are written
-    as decimal strings to keep unbounded magnitude intact. A torn tail (a
-    last line that is unterminated or does not parse, as an append cut
-    short leaves it) is skipped with a warning on stderr and cut off before
-    the next append, so its count is recomputed; a bad line anywhere else
-    is an error naming the file.
+    as decimal strings, of any length, to keep unbounded magnitude intact.
+    A torn tail (a last line that is unterminated or does not parse, as an
+    append cut short leaves it) is skipped with a warning on stderr and cut
+    off before the next append, so its count is recomputed; a bad line
+    anywhere else is an error naming the file.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -519,26 +536,27 @@ class CountCache:
         lines = self.path.read_bytes().split(b"\n")
         last = max((i for i, line in enumerate(lines) if line.strip()), default=-1)
         offset = 0
-        for i, line in enumerate(lines):
-            start, offset = offset, offset + len(line) + 1
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                key, count = (obj["tau"], int(obj["n"])), int(obj["count"])
-                if i == len(lines) - 1:
-                    raise ValueError("no line terminator")
-            except (ValueError, KeyError, TypeError) as exc:
-                if i < last:
-                    raise ValueError(f"cache file {self.path}, line {i + 1}: {exc}") from None
-                print(
-                    f"warning: cache file {self.path}: skipped torn last line {i + 1} ({exc});"
-                    " its count will be recomputed",
-                    file=sys.stderr,
-                )
-                self._cut = start
-                continue
-            self._table[key] = count
+        with _long_int_text():
+            for i, line in enumerate(lines):
+                start, offset = offset, offset + len(line) + 1
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                    key, count = (obj["tau"], int(obj["n"])), int(obj["count"])
+                    if i == len(lines) - 1:
+                        raise ValueError("no line terminator")
+                except (ValueError, KeyError, TypeError) as exc:
+                    if i < last:
+                        raise ValueError(f"cache file {self.path}, line {i + 1}: {exc}") from None
+                    print(
+                        f"warning: cache file {self.path}: skipped torn last line {i + 1} ({exc});"
+                        " its count will be recomputed",
+                        file=sys.stderr,
+                    )
+                    self._cut = start
+                    continue
+                self._table[key] = count
 
     def __len__(self) -> int:
         return len(self._table)
@@ -558,8 +576,7 @@ class CountCache:
         if not self._dir_made:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._dir_made = True
+        with _long_int_text():
+            count = str(record.count)
         with self.path.open("a", encoding="utf-8") as fh:
-            fh.write(
-                json.dumps({"tau": record.tau, "n": record.n, "count": str(record.count)})
-                + "\n"
-            )
+            fh.write(json.dumps({"tau": record.tau, "n": record.n, "count": count}) + "\n")

@@ -10,7 +10,10 @@ from decimal import Decimal
 import pytest
 
 import partpat.cli as cli
-from partpat import all_partitions, block_recursion, enumeration, parse, singleton_count, uniform_count
+from partpat import (
+    all_partitions, block_recursion, count_avoiders_oracle, enumeration, parse, singleton_count,
+    uniform_count,
+)
 from partpat.cli import main
 from partpat.enumeration import _walk_sequence
 
@@ -90,13 +93,13 @@ class TestCount:
             assert rc == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_oracle_path(self, capsys):
+    def test_counts_match_the_oracle(self, capsys):
         rc, out, _ = run(
-            capsys, "count", "--pattern", "123", "--n-from", "5", "--n-to", "5",
-            "--no-cache", "--oracle",
+            capsys, "count", "--pattern", "123/45", "--n-from", "1", "--n-to", "8", "--no-cache"
         )
         assert rc == 0
-        assert out.strip().splitlines()[1].split(",")[2] == "26"
+        counts = [int(line.split(",")[2]) for line in out.strip().splitlines()[1:]]
+        assert counts == [count_avoiders_oracle(parse("123/45"), n).count for n in range(1, 9)]
 
     def test_dp_counts_past_n_13(self, capsys):
         # the DP state cap is the only guard on n: 12/3 stays far below it
@@ -133,20 +136,6 @@ class TestCount:
         assert rc == 0
         rows = out.strip().splitlines()[1:]
         assert len(rows) == 2 and int(rows[1].split(",")[2]) > exceeds
-
-    def test_oracle_ceiling(self, capsys):
-        rc, _, err = run(
-            capsys, "count", "--pattern", "123", "--n-from", "1", "--n-to", "11",
-            "--no-cache", "--oracle",
-        )
-        assert rc == 3 and "oracle" in err
-
-    def test_oracle_ceiling_capped_at_12(self, capsys):
-        rc, _, err = run(
-            capsys, "count", "--pattern", "123", "--n-from", "1", "--n-to", "5",
-            "--no-cache", "--oracle", "--oracle-ceiling", "13",
-        )
-        assert rc == 1 and "oracle ceiling" in err
 
     def test_state_cap_writes_the_exact_rows_to_out(self, capsys, monkeypatch, tmp_path):
         # 12/34 outgrows a cap of 10 states in layer 7: --out gets the rows
@@ -613,6 +602,12 @@ class TestPermeabilityCommand:
         doc = json.loads(out)
         assert doc["pm"] == 3 and doc["cuts"] == [1, 3, 4]
 
+    def test_json_with_oracle(self, capsys):
+        rc, out, _ = run(capsys, "permeability", "12/345", "--oracle", "--format", "json")
+        assert rc == 0
+        doc = json.loads(out)
+        assert doc["oracle"] == doc["pm"] == 3
+
 
 class TestUniformCommand:
     def test_count_and_members(self, capsys):
@@ -655,23 +650,28 @@ class TestUniformCommand:
     [
         (["--n-from", "5", "--n-to", "2"], 1, "n range is empty or negative"),
         (["--n-from", "-1"], 1, "n range is empty or negative"),
-        (["--oracle-ceiling", "13"], 1, "oracle ceiling must be <= 12"),
         (["--workers", "0"], 1, f"1 and {os.cpu_count() or 1}"),
-        (["--oracle", "--n-to", "11"], 3, "oracle ceiling 10 exceeded by n=11"),
-        (["--oracle-ceiling", "-3"], 1, "--oracle-ceiling must be >= 0"),
-        (["--oracle", "--oracle-ceiling", "-1"], 1, "--oracle-ceiling must be >= 0"),
         (["--k-ceiling", "0"], 1, "--k-ceiling must be >= 1"),
     ],
-    ids=[
-        "n-reversed", "n-negative", "oracle-ceiling-cap", "workers", "oracle-ceiling",
-        "oracle-ceiling-negative", "oracle-ceiling-negative-under-oracle", "k-ceiling-below-1",
-    ],
+    ids=["n-reversed", "n-negative", "workers", "k-ceiling-below-1"],
 )
 def test_scan_flags_checked(capsys, command, flags, code, message):
     rc, out, err = run(
         capsys, *command, "--n-from", "1", "--n-to", "4", "--no-cache", *flags
     )
     assert rc == code and out == "" and message in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["count", "--pattern", "12/34"], ["conjectures", "--pattern", "12/34"], ["bounds", "--shape", "2,2"]],
+    ids=["count", "conjectures", "bounds"],
+)
+@pytest.mark.parametrize("flags", [["--oracle"], ["--oracle-ceiling", "12"]], ids=["oracle", "oracle-ceiling"])
+def test_oracle_flags_are_gone(capsys, command, flags):
+    # every scan counts by count_sequence; the oracle is a library reference only
+    rc, out, err = run(capsys, *command, "--n-from", "1", "--n-to", "4", "--no-cache", *flags)
+    assert rc == 1 and out == "" and f"unrecognized arguments: {' '.join(flags)}" in err
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,8 @@
 """The documentation examples run: each partpat module's docstrings and the
 README's library session. The package exports each library module's
-public names, the README names every scan flag and no flag the CLI
-lacks, and the package's version agrees with pyproject.toml."""
+public names, the README names every scan flag, neither the README nor
+``partpat --help`` names a flag the CLI lacks, and the package's version
+agrees with pyproject.toml."""
 
 from __future__ import annotations
 
@@ -47,14 +48,20 @@ def _options(parser: argparse.ArgumentParser) -> set[str]:
     return {option for action in parser._actions for option in action.option_strings}
 
 
+def _named_flags(text: str) -> set[str]:
+    """The flags in the inline code of ``text``."""
+    spans = re.findall(r"`([^`]+)`", text)
+    return {flag for span in spans for flag in re.findall(r"--[a-z][a-z-]*", span)}
+
+
 def test_readme_flags_match_the_parser():
-    # the flags in the prose's inline code, outside the fenced examples
-    prose = re.sub(r"```.*?```", "", README.read_text(encoding="utf-8"), flags=re.S)
-    spans = re.findall(r"`([^`]+)`", prose)
-    named = {flag for span in spans for flag in re.findall(r"--[a-z][a-z-]*", span)}
+    # the flags in the README prose, outside the fenced examples, and in the
+    # cli docstring, which is the text of ``partpat --help``
+    named = _named_flags(re.sub(r"```.*?```", "", README.read_text(encoding="utf-8"), flags=re.S))
     (subcommands,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     known = set().union(*map(_options, subcommands.choices.values()))
     assert named - known == set()
+    assert _named_flags(cli.__doc__) - known == set()
     scan = argparse.ArgumentParser()
     cli._add_scan_flags(scan)
     assert _options(scan) - {"-h", "--help"} - named == set()

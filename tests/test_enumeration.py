@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ from partpat import (
     CeilingError,
     CountCache,
     CountRecord,
+    IntervalCut,
     LayeredShape,
     SetPartition,
     all_partitions,
@@ -22,8 +25,11 @@ from partpat import (
     count_sequence,
     enumerate_avoiders,
     f_ratio,
+    log_upper_bound_block,
+    log_upper_bound_layered,
     parse,
     sba,
+    singleton_count,
     uniform_avoids,
     uniform_count,
     uniform_partitions,
@@ -519,8 +525,6 @@ class TestCountCache:
         assert len(reloaded) == 2
 
     def test_counts_stored_as_decimal_strings(self, tmp_path):
-        import json
-
         path = tmp_path / "cache.jsonl"
         CountCache(path).add(CountRecord("12", 3, 1))
         line = json.loads(path.read_text().strip())
@@ -537,6 +541,35 @@ class TestCountCache:
         reloaded = CountCache(path)
         assert capsys.readouterr().err == ""
         assert reloaded.get("12", 3) == 1 and reloaded.get("12", 4) == 1
+
+    def test_unterminated_last_line_is_recomputed(self, tmp_path, capsys):
+        # the last line parses, but an append cut short before its newline is torn
+        path = tmp_path / "cache.jsonl"
+        path.write_text('{"tau": "12", "n": 3, "count": "1"}\n{"tau": "12", "n": 4, "count": "7"}')
+        cache = CountCache(path)
+        err = capsys.readouterr().err
+        assert "warning" in err and str(path) in err and "line 2" in err and "no line terminator" in err
+        assert cache.get("12", 3) == 1 and cache.get("12", 4) is None
+        cache.add(CountRecord("12", 4, 1))
+        assert path.read_text() == (
+            '{"tau": "12", "n": 3, "count": "1"}\n{"tau": "12", "n": 4, "count": "1"}\n'
+        )
+        assert CountCache(path).get("12", 4) == 1 and capsys.readouterr().err == ""
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/text digit limit")
+    def test_counts_past_the_int_text_limit(self, tmp_path):
+        # the cache writes and reads long counts under the default limit and leaves it as it was
+        path = tmp_path / "cache.jsonl"
+        big = 10**5000 + 1
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            CountCache(path).add(CountRecord("123", 3000, big))
+            assert CountCache(path).get("123", 3000) == big
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert json.loads(path.read_text())["count"] == "1" + "0" * 4999 + "1"
 
     def test_malformed_inner_line_is_an_error(self, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -561,3 +594,28 @@ class TestCountCache:
         cache.add(CountRecord("12", 3, 1))
         cache.add(CountRecord("12", 3, 1))
         assert len(path.read_text().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        (lambda: next(all_partitions(-1)), "n must be nonnegative"),
+        (lambda: uniform_count(4, 0), "section count must be >= 1"),
+        (lambda: uniform_avoids(parse("12"), 0), "section count must be >= 1"),
+        (lambda: IntervalCut((0,)), "cuts must be strictly increasing positive positions"),
+        (lambda: IntervalCut((1,)).intervals(0), "cuts on an empty ground set"),
+        (lambda: singleton_count(1, 3), "k must be >= 2"),
+        (lambda: singleton_count(3, -1), "n must be nonnegative"),
+        (lambda: log_upper_bound_block(3, 0), "n must be >= 1"),
+        (lambda: log_upper_bound_layered(3, 1, 0), "n must be >= 1"),
+    ],
+    ids=[
+        "all_partitions-negative-n", "uniform_count-no-sections", "uniform_avoids-no-sections",
+        "IntervalCut-cut-at-0", "IntervalCut-empty-ground-set", "singleton_count-k-below-2",
+        "singleton_count-negative-n", "log_upper_bound_block-n-0", "log_upper_bound_layered-n-0",
+    ],
+)
+def test_input_refusals_name_the_fault(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
