@@ -127,6 +127,21 @@ class TestCount:
         )
         assert rc == 1 and out == "" and "unrecognized arguments: --enum-ceiling 20" in err
 
+    def test_oracle_ceiling(self, capsys):
+        # the scans no longer offer the oracle: argparse refuses the flag
+        rc, out, err = run(
+            capsys, "count", "--pattern", "123", "--n-from", "1", "--n-to", "11",
+            "--no-cache", "--oracle",
+        )
+        assert rc == 1 and out == "" and "unrecognized arguments: --oracle\n" in err
+
+    def test_oracle_ceiling_capped_at_12(self, capsys):
+        rc, out, err = run(
+            capsys, "count", "--pattern", "123", "--n-from", "1", "--n-to", "5",
+            "--no-cache", "--oracle", "--oracle-ceiling", "13",
+        )
+        assert rc == 1 and out == "" and "unrecognized arguments: --oracle --oracle-ceiling 13" in err
+
     @pytest.mark.parametrize(("pattern", "exceeds"), [("123", 10**50), ("1", -1)], ids=["123", "1"])
     def test_one_block_pattern_not_ceilinged(self, capsys, pattern, exceeds):
         # a closed form serves one-block patterns at any depth
@@ -650,28 +665,24 @@ class TestUniformCommand:
     [
         (["--n-from", "5", "--n-to", "2"], 1, "n range is empty or negative"),
         (["--n-from", "-1"], 1, "n range is empty or negative"),
+        # every scan counts by count_sequence: the oracle flags are gone
+        (["--oracle-ceiling", "13"], 1, "unrecognized arguments: --oracle-ceiling 13"),
         (["--workers", "0"], 1, f"1 and {os.cpu_count() or 1}"),
+        (["--oracle", "--n-to", "11"], 1, "unrecognized arguments: --oracle\n"),
+        (["--oracle-ceiling", "-3"], 1, "unrecognized arguments: --oracle-ceiling -3"),
+        (["--oracle", "--oracle-ceiling", "-1"], 1, "unrecognized arguments: --oracle --oracle-ceiling -1"),
         (["--k-ceiling", "0"], 1, "--k-ceiling must be >= 1"),
     ],
-    ids=["n-reversed", "n-negative", "workers", "k-ceiling-below-1"],
+    ids=[
+        "n-reversed", "n-negative", "oracle-ceiling-cap", "workers", "oracle-ceiling",
+        "oracle-ceiling-negative", "oracle-ceiling-negative-under-oracle", "k-ceiling-below-1",
+    ],
 )
 def test_scan_flags_checked(capsys, command, flags, code, message):
     rc, out, err = run(
         capsys, *command, "--n-from", "1", "--n-to", "4", "--no-cache", *flags
     )
     assert rc == code and out == "" and message in err
-
-
-@pytest.mark.parametrize(
-    "command",
-    [["count", "--pattern", "12/34"], ["conjectures", "--pattern", "12/34"], ["bounds", "--shape", "2,2"]],
-    ids=["count", "conjectures", "bounds"],
-)
-@pytest.mark.parametrize("flags", [["--oracle"], ["--oracle-ceiling", "12"]], ids=["oracle", "oracle-ceiling"])
-def test_oracle_flags_are_gone(capsys, command, flags):
-    # every scan counts by count_sequence; the oracle is a library reference only
-    rc, out, err = run(capsys, *command, "--n-from", "1", "--n-to", "4", "--no-cache", *flags)
-    assert rc == 1 and out == "" and f"unrecognized arguments: {' '.join(flags)}" in err
 
 
 @pytest.mark.parametrize(
