@@ -30,9 +30,10 @@ of --repeat, and gives the peak states of a layer of the DP it runs:
   total ``ms``, and ``scan_ms``, the total over one pattern per reversal
   orbit, which is what ``conjectures --all-k 4`` counts;
 - ``123/45_n11``: the one pattern to n = 11;
-- ``k5_n12``: the 46 multi-block patterns of [5] to n = 12, in seconds:
-  one run each of ``_dp_sequence``, the DP layers ``count_sequence`` sums,
-  timed while the largest peak among them is read off the same layers.
+- ``k5_n12``: the 51 multi-block patterns of [5] to n = 12, their number
+  as ``patterns``, and in seconds one run each of ``_dp_sequence``, the DP
+  layers ``count_sequence`` sums, timed while the largest peak among them
+  is read off the same layers.
 - ``14/23_n20``: one more DP run, of 14/23 to n = 20, made after all the
   plain timed runs, with its two stages ``_advance`` and ``_settle``
   wrapped by timers: ``advance_ms``, ``settle_ms``, and ``settle_share``,
@@ -168,7 +169,7 @@ def measure_dp(repeat: int) -> dict:
             "ms": fastest([partial(count_sequence, deep, 11)], repeat)[0] / 1e6,
             "peak_states": peak_states(deep, 11),
         },
-        "k5_n12": {"s": k5_ns / 1e9, "peak_states": k5_peak},
+        "k5_n12": {"patterns": len(k5), "s": k5_ns / 1e9, "peak_states": k5_peak},
         "14/23_n20": stage_split(parse("14/23"), 20),  # after every plain timed run
     }
 

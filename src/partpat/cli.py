@@ -5,9 +5,9 @@ Exit codes: 0 success (a reader that closes stdout early, as ``| head``
 does, ends the run quietly with 0), 1 invalid input (or a file that cannot
 be read or written), 2 hard assertion failure (a desk-scale theorem check or
 internal identity broke), 3 resource ceiling exceeded: a transfer-DP layer
-over its state cap, k past ``--k-ceiling`` under ``--all-k``, or a ``check``
-pattern of some 1,000 blocks or more, past the containment search's
-recursion limit. ``--k-ceiling`` must be >= 1, or the scan exits 1. No
+over its state cap, an ``--all-k`` family of more than 10,000 members,
+refused before any count, or a ``check`` pattern of some 1,000 blocks or
+more, past the containment search's recursion limit. No
 conjecture verdict changes the exit status: a trend is reported, a
 conjecture-1 counterexample reports ``fail`` and exits 0, and a probe of a
 pattern with no row at n >= 2 with a positive count reports ``degenerate``;
@@ -31,7 +31,7 @@ import os
 import sys
 from itertools import combinations, islice
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .containment import find_occurrence
 from .core import (
@@ -65,7 +65,9 @@ EXIT_ASSERTION = 2
 EXIT_CEILING = 3
 
 CACHE_ENV_VAR = "PARTPAT_CACHE"
-DEFAULT_K_CEILING = 5
+# an --all-k family and its report are held in memory: [8] (4,140 patterns)
+# to n = 9 peaked at about 230 MB as JSON, and [9] has 21,147
+_FAMILY_MAX = 10_000
 
 SCAN_COLUMNS = ("tau", "n", "count", "f_ratio", "pm", "pm_target", "gap", "gap_times_log_n")
 BOUND_COLUMNS = (
@@ -98,8 +100,6 @@ def _check_scan_flags(args: argparse.Namespace) -> None:
         raise ValueError(f"worker count must be between 1 and {cpus}, the CPU count")
     if args.n_from < 0 or args.n_to < args.n_from:
         raise ValueError("n range is empty or negative")
-    if args.k_ceiling < 1:
-        raise ValueError("--k-ceiling must be >= 1")
 
 
 def _scan(
@@ -348,20 +348,21 @@ def _conjecture_probes(tau_text: str, pm: int, usable: Sequence[dict[str, Any]])
     ]
 
 
-def _family_k(args: argparse.Namespace, least: int) -> int:
-    """The ``--all-k`` family size, checked against ``--k-ceiling`` and the
-    least size the scan can use."""
-    if args.all_k > args.k_ceiling:
-        raise CeilingError(f"pattern family ceiling k <= {args.k_ceiling} exceeded by k={args.all_k}")
+def _all_k_family(args: argparse.Namespace, least: int, family: Callable[[int], Iterable[Any]]) -> list[Any]:
+    """``family(K)`` for ``--all-k K``, refused below the least K the scan
+    can use, and past ``_FAMILY_MAX`` members, before any count."""
     if args.all_k < least:
         raise ValueError(f"--all-k must be >= {least}")
-    return args.all_k
+    members = list(islice(family(args.all_k), _FAMILY_MAX + 1))
+    if len(members) > _FAMILY_MAX:
+        raise CeilingError(f"--all-k {args.all_k}: the family has more than {_FAMILY_MAX:,} members, its cap")
+    return members
 
 
 def _cmd_conjectures(args: argparse.Namespace) -> int:
     _check_scan_flags(args)
     if args.all_k is not None:
-        patterns = tuple(all_partitions(_family_k(args, 1)))
+        patterns = tuple(_all_k_family(args, 1, all_partitions))
     elif args.pattern:
         # a repeated pattern is scanned and reported once, where it first appears
         patterns = tuple(dict.fromkeys(map(parse, args.pattern)))
@@ -412,12 +413,9 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         # a repeated shape is scanned and reported once, where it first appears
         shapes = list(dict.fromkeys(shapes))
     elif args.all_k is not None:
-        shapes = [
-            LayeredShape(c)
-            for k in range(2, _family_k(args, 2) + 1)
-            for c in compositions(k)
-            if len(c) < k
-        ]
+        shapes = _all_k_family(args, 2, lambda top: (
+            LayeredShape(c) for k in range(2, top + 1) for c in compositions(k) if len(c) < k
+        ))
     else:
         raise ValueError("supply --shape or --all-k")
     for shape in shapes:
@@ -556,7 +554,6 @@ def _add_scan_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--no-cache", action="store_true", help="disable the count cache")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--out", help="write the report here instead of stdout")
-    sub.add_argument("--k-ceiling", type=int, default=DEFAULT_K_CEILING)
 
 
 def _build_parser() -> _Parser:

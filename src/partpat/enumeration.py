@@ -55,7 +55,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .containment import _extend, _least_image
-from .core import CeilingError, SetPartition, _Value, format_partition, reverse, sba
+from .core import CeilingError, SetPartition, _Value, format_partition, permeability, reverse
 from .formulas import block_recursion
 
 __all__ = [
@@ -97,6 +97,10 @@ class CountRecord(_Value):
 
     def __init__(self, tau: str, n: int, count: int) -> None:
         self._assign(tau, n, count)
+
+    def __repr__(self) -> str:
+        with _long_int_text():  # an exact count can run past the int/text digit limit
+            return super().__repr__()
 
 
 def _prefixes(n: int, tau: SetPartition | None) -> Iterator[tuple[int, list[list[int]], list[int]]]:
@@ -486,17 +490,18 @@ def _section_length(n: int, t: int) -> int:
 
 
 def uniform_avoids(tau: SetPartition, t: int) -> bool:
-    """True iff sba(tau) >= t, in which case every uniform partition with t
+    """True iff pm(tau) >= t, in which case every uniform partition with t
     sections avoids tau.
 
-    Within one section all elements lie in distinct blocks, so consecutive
-    images of an occurrence can share a block only across a section
-    boundary; t sections offer at most t - 1 boundaries. The condition is
-    sufficient, not claimed necessary.
+    Within one section all elements lie in distinct blocks, so the images
+    of an occurrence that fall in one section lie in distinct blocks of
+    tau. The t sections cut an occurrence into at most t intervals, each
+    with at most one element per block: t - 1 cuts, so pm(tau) <= t - 1.
+    The condition is sufficient, not claimed necessary.
     """
     if t < 1:
         raise ValueError("section count must be >= 1")
-    return sba(tau) >= t
+    return permeability(tau)[0] >= t
 
 
 @contextmanager
@@ -520,10 +525,12 @@ class CountCache:
 
     Each line is {"tau": str, "n": int, "count": str}; counts are written
     as decimal strings, of any length, to keep unbounded magnitude intact.
-    A torn tail (a last line that is unterminated or does not parse, as an
-    append cut short leaves it) is skipped with a warning on stderr and cut
-    off before the next append, so its count is recomputed; a bad line
-    anywhere else is an error naming the file.
+    A line is read only as ``add`` writes it: a str tau, an int n (not a
+    bool) and a count of ASCII decimal digits. A torn tail (a last line that is
+    unterminated, does not parse or holds anything else, as an append cut
+    short leaves it) is skipped with a warning on stderr and cut off before
+    the next append, so its count is recomputed; a bad line anywhere else
+    is an error naming the file and the line.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -543,7 +550,14 @@ class CountCache:
                     continue
                 try:
                     obj = json.loads(line)
-                    key, count = (obj["tau"], int(obj["n"])), int(obj["count"])
+                    tau, n, count = obj["tau"], obj["n"], obj["count"]
+                    # int() would truncate a count of 5.5 to 5, and a list tau is unhashable
+                    if not isinstance(tau, str):
+                        raise ValueError(f"tau {tau!r} is not a string")
+                    if type(n) is not int:  # isinstance would let a bool through
+                        raise ValueError(f"n {n!r} is not an integer")
+                    if not (isinstance(count, str) and count.isascii() and count.isdigit()):
+                        raise ValueError(f"count {count!r} is not a string of decimal digits")
                     if i == len(lines) - 1:
                         raise ValueError("no line terminator")
                 except (ValueError, KeyError, TypeError) as exc:
@@ -556,7 +570,7 @@ class CountCache:
                     )
                     self._cut = start
                     continue
-                self._table[key] = count
+                self._table[tau, n] = int(count)
 
     def __len__(self) -> int:
         return len(self._table)

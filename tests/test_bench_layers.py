@@ -35,6 +35,8 @@ def test_bench_layers_writes_its_report(tmp_path, capsys):
     assert all(row["ms"] > 0 and row["peak_states"] > 0 for row in k4["patterns"].values())
     assert k4["patterns"]["1/2/3/4"]["peak_states"] < k4["patterns"]["14/23"]["peak_states"]
     assert dp["123/45_n11"]["ms"] > 0 and dp["123/45_n11"]["peak_states"] > 0
+    # 52 partitions of [5], less the one-block pattern
+    assert dp["k5_n12"]["patterns"] == 51
     assert dp["k5_n12"]["s"] > 0 and dp["k5_n12"]["peak_states"] > 1000
     split = dp["14/23_n20"]
     assert set(split) == {"advance_ms", "settle_ms", "settle_share"}

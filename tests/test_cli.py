@@ -245,6 +245,21 @@ class TestCache:
         )
         assert rc == 1 and str(cache) in err and "line 1" in err
 
+    @pytest.mark.parametrize(
+        ("line", "n", "count"),
+        [('{"tau": "12/34", "n": 6.7, "count": "999"}', 6, 122), ('{"tau": "12/34", "n": 7, "count": 5.5}', 7, 367)],
+        ids=["n-float", "count-float"],
+    )
+    def test_a_line_add_never_writes_is_recounted(self, capsys, tmp_path, line, n, count):
+        # int() would serve 999 at n = 6 and 5 at n = 7
+        cache = tmp_path / "counts.jsonl"
+        cache.write_text(line + "\n")
+        rc, out, err = run(
+            capsys, "count", "--pattern", "12/34", "--n-from", "1", "--n-to", "7", "--cache", str(cache)
+        )
+        assert rc == 0 and "warning" in err and "torn last line 1" in err
+        assert out.splitlines()[n].split(",")[:3] == ["12/34", str(n), str(count)]
+
     def test_env_var_default_path(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "env-cache.jsonl"
         monkeypatch.setenv(cli.CACHE_ENV_VAR, str(cache))
@@ -327,11 +342,21 @@ class TestConjectures:
         assert five["status"] == "consistent"
         assert doc["rows"][0]["tau"] == "123"
 
-    def test_k_ceiling(self, capsys):
+    def test_k_ceiling(self, capsys, monkeypatch):
+        # no flag caps k: the family's own size does, past cli._FAMILY_MAX members
         rc, _, err = run(
             capsys, "conjectures", "--all-k", "6", "--n-from", "1", "--n-to", "6", "--no-cache"
         )
-        assert rc == 3 and "k <= 5" in err
+        assert rc == 0 and "conjecture 1: pass (A_n(123456) >= A_n(tau) for all 202 other patterns of [6]" in err
+        # [4] has 15 patterns, and the layered shapes of size 2..5 number 26
+        for command, k, size in (("conjectures", "4", 15), ("bounds", "5", 26)):
+            argv = (command, "--all-k", k, "--n-from", "1", "--n-to", "6", "--no-cache")
+            for cap in (10, size - 1):
+                monkeypatch.setattr(cli, "_FAMILY_MAX", cap)
+                rc, out, err = run(capsys, *argv)
+                assert (rc, out) == (3, "") and f"--all-k {k}: the family has more than {cap} members" in err
+            monkeypatch.setattr(cli, "_FAMILY_MAX", size)
+            assert run(capsys, *argv)[0] == 0
 
     def test_one_block_pattern_scans_past_enum_ceiling(self, capsys):
         # served by the closed recursion, so n = 500 is fine and the margin
@@ -348,10 +373,11 @@ class TestConjectures:
             assert 0 < row["gap"] < 1 / math.log(row["n"])
 
     def test_k_ceiling_below_1_is_invalid_under_all_k(self, capsys):
+        # the flag is gone: the family's size is the only cap on --all-k
         rc, out, err = run(
             capsys, "conjectures", "--all-k", "1", "--k-ceiling", "0", "--n-from", "1", "--n-to", "3", "--no-cache"
         )
-        assert (rc, out, err) == (1, "", "error: --k-ceiling must be >= 1\n")
+        assert (rc, out, err) == (1, "", "error: unrecognized arguments: --k-ceiling 0\n")
 
     def test_no_usable_row_reports_degenerate(self, capsys):
         # n < 2 gives no F_n, so there is no trend to call consistent
@@ -671,7 +697,7 @@ class TestUniformCommand:
         (["--oracle", "--n-to", "11"], 1, "unrecognized arguments: --oracle\n"),
         (["--oracle-ceiling", "-3"], 1, "unrecognized arguments: --oracle-ceiling -3"),
         (["--oracle", "--oracle-ceiling", "-1"], 1, "unrecognized arguments: --oracle --oracle-ceiling -1"),
-        (["--k-ceiling", "0"], 1, "--k-ceiling must be >= 1"),
+        (["--k-ceiling", "0"], 1, "unrecognized arguments: --k-ceiling 0"),
     ],
     ids=[
         "n-reversed", "n-negative", "oracle-ceiling-cap", "workers", "oracle-ceiling",

@@ -4,6 +4,7 @@ import functools
 import itertools
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -454,7 +455,7 @@ class TestUniformAvoids:
         assert not uniform_avoids(tau, 4)
 
     def test_sufficiency_verified_empirically(self):
-        # sba(tau) >= t really does force avoidance in every streamed
+        # pm(tau) >= t really does force avoidance in every streamed
         # uniform partition, t in {2, 3}, n <= 9
         taus = [p for k in range(1, 6) for p in patterns_of(k)]
         for t in (2, 3):
@@ -465,10 +466,10 @@ class TestUniformAvoids:
                         assert not contains(u, tau), (str(u), str(tau), t)
 
     def test_condition_is_hypothesis_not_characterization(self):
-        # sba(tau) >= t is sufficient, not necessary: a uniform host has all
+        # pm(tau) >= t is sufficient, not necessary: a uniform host has all
         # blocks of size exactly t and only n/t of them, so patterns with a
         # bigger block (or more blocks than fit) are avoided too. For every
-        # other small tau with sba < t a containing uniform partition shows
+        # other small tau with pm < t a containing uniform partition shows
         # up in range; the obstructed ones are recorded as the observed
         # non-tightness candidates.
         taus = [p for k in range(1, 5) for p in patterns_of(k)]
@@ -489,7 +490,8 @@ class TestUniformAvoids:
                     candidates.append((str(tau), t))
                 else:
                     assert found, (str(tau), t)
-        assert ("124/3", 2) in candidates and ("1/2/3/4", 3) in candidates
+        # pm(124/3) = 2 proves ("124/3", 2) avoided, where sba = 1 did not
+        assert ("124/3", 2) not in candidates and ("1/2/3/4", 3) in candidates
 
 
 class TestLowerBoundRealized:
@@ -576,6 +578,38 @@ class TestCountCache:
         path.write_text('{"tau": "12", "n": 3}\n{"tau": "12", "n": 4, "count": "1"}\n')
         with pytest.raises(ValueError, match="line 1"):
             CountCache(path)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            '"tau": "12", "n": 4, "count": 5.5',
+            '"tau": "12", "n": 4, "count": true',
+            '"tau": "12", "n": 4, "count": "-5"',
+            '"tau": "12", "n": 4, "count": "\\u0663"',
+            '"tau": "12", "n": 6.7, "count": "5"',
+            '"tau": "12", "n": true, "count": "5"',
+            '"tau": ["12"], "n": 4, "count": "5"',
+        ],
+        ids=["count-float", "count-bool", "count-signed", "count-arabic-digit", "n-float", "n-bool", "tau-list"],
+    )
+    @pytest.mark.parametrize("where", ["inner", "last"])
+    def test_only_what_add_writes_is_served(self, tmp_path, capsys, fields, where):
+        # int() would load a count of 5.5 as 5, true as 1 and "\u0663" as 3, and n = 6.7 as 6
+        path = tmp_path / "cache.jsonl"
+        good = '{"tau": "12", "n": 3, "count": "1"}\n'
+        bad = "{" + fields + "}\n"
+        if where == "inner":
+            path.write_text(bad + good)
+            with pytest.raises(ValueError, match=f"cache file {re.escape(str(path))}, line 1: "):
+                CountCache(path)
+            return
+        path.write_text(good + bad)
+        cache = CountCache(path)
+        err = capsys.readouterr().err
+        assert "warning" in err and str(path) in err and "torn last line 2" in err
+        assert len(cache) == 1 and cache.get("12", 4) is None and cache.get("12", 6) is None
+        cache.add(CountRecord("12", 4, 1))
+        assert path.read_text() == good + '{"tau": "12", "n": 4, "count": "1"}\n'
 
     def test_directory_made_once_per_cache(self, tmp_path, monkeypatch):
         path = tmp_path / "nested" / "dir" / "cache.jsonl"

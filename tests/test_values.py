@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import copy
 import pickle
+import sys
 
 import pytest
 
@@ -70,6 +71,19 @@ class TestValueContract:
 
     def test_repr(self, build, text):
         assert repr(build()) == text
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/text digit limit")
+def test_repr_of_a_count_past_the_int_text_limit():
+    # counts are exact, and 123 has more than 10**4300 avoiders of [3000]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        text = repr(CountRecord("123", 3000, 10**5000 + 1))
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert text == "CountRecord(tau='123', n=3000, count=1" + "0" * 4999 + "1)"
 
 
 def test_equal_fields_in_another_class_are_not_equal():
