@@ -31,7 +31,7 @@ import os
 import sys
 from itertools import combinations, islice
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterator, Sequence
 
 from .containment import find_occurrence
 from .core import (
@@ -65,8 +65,8 @@ EXIT_ASSERTION = 2
 EXIT_CEILING = 3
 
 CACHE_ENV_VAR = "PARTPAT_CACHE"
-# an --all-k family and its report are held in memory: [8] (4,140 patterns)
-# to n = 9 peaked at about 230 MB as JSON, and [9] has 21,147
+# an --all-k family and its report are held in memory: as JSON, [8] to n = 9
+# peaked at about 230 MB, and the 8,178 bounds shapes of K = 13 to n = 12 at 260 MB
 _FAMILY_MAX = 10_000
 
 SCAN_COLUMNS = ("tau", "n", "count", "f_ratio", "pm", "pm_target", "gap", "gap_times_log_n")
@@ -348,21 +348,23 @@ def _conjecture_probes(tau_text: str, pm: int, usable: Sequence[dict[str, Any]])
     ]
 
 
-def _all_k_family(args: argparse.Namespace, least: int, family: Callable[[int], Iterable[Any]]) -> list[Any]:
-    """``family(K)`` for ``--all-k K``, refused below the least K the scan
-    can use, and past ``_FAMILY_MAX`` members, before any count."""
+def _all_k_family(args: argparse.Namespace, least: int, family: Iterator[Any]) -> list[Any]:
+    """``--all-k K``'s lazy ``family``, refused below ``least`` or past ``_FAMILY_MAX`` members."""
     if args.all_k < least:
         raise ValueError(f"--all-k must be >= {least}")
-    members = list(islice(family(args.all_k), _FAMILY_MAX + 1))
-    if len(members) > _FAMILY_MAX:
-        raise CeilingError(f"--all-k {args.all_k}: the family has more than {_FAMILY_MAX:,} members, its cap")
-    return members
+    # Bell(K) and the 2^K - K - 1 shapes of size <= K are both >= 2^(K-1) - 1:
+    # a K past the cap by that bound is refused before a member is built
+    if args.all_k <= (_FAMILY_MAX + 1).bit_length():
+        members = list(islice(family, _FAMILY_MAX + 1))
+        if len(members) <= _FAMILY_MAX:
+            return members
+    raise CeilingError(f"--all-k {args.all_k}: the family has more than {_FAMILY_MAX:,} members, its cap")
 
 
 def _cmd_conjectures(args: argparse.Namespace) -> int:
     _check_scan_flags(args)
     if args.all_k is not None:
-        patterns = tuple(_all_k_family(args, 1, all_partitions))
+        patterns = tuple(_all_k_family(args, 1, all_partitions(args.all_k)))
     elif args.pattern:
         # a repeated pattern is scanned and reported once, where it first appears
         patterns = tuple(dict.fromkeys(map(parse, args.pattern)))
@@ -413,8 +415,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         # a repeated shape is scanned and reported once, where it first appears
         shapes = list(dict.fromkeys(shapes))
     elif args.all_k is not None:
-        shapes = _all_k_family(args, 2, lambda top: (
-            LayeredShape(c) for k in range(2, top + 1) for c in compositions(k) if len(c) < k
+        shapes = _all_k_family(args, 2, (
+            LayeredShape(c) for k in range(2, args.all_k + 1) for c in compositions(k) if len(c) < k
         ))
     else:
         raise ValueError("supply --shape or --all-k")

@@ -348,6 +348,19 @@ class TestConjectures:
             capsys, "conjectures", "--all-k", "6", "--n-from", "1", "--n-to", "6", "--no-cache"
         )
         assert rc == 0 and "conjecture 1: pass (A_n(123456) >= A_n(tau) for all 202 other patterns of [6]" in err
+        # both families have at least 2^(K-1) - 1 members, so a K past the cap
+        # by that bound alone is refused before a member of K elements is built
+        def unbuilt(k):
+            raise AssertionError(f"a member of size {k} was built")
+            yield
+
+        monkeypatch.setattr(cli, "all_partitions", unbuilt)
+        monkeypatch.setattr(cli, "compositions", unbuilt)
+        for command in ("conjectures", "bounds"):
+            for k in ("15", "1000000000"):
+                rc, out, err = run(capsys, command, "--all-k", k, "--n-from", "1", "--n-to", "6", "--no-cache")
+                assert (rc, out) == (3, "") and f"--all-k {k}: the family has more than 10,000 members" in err
+        monkeypatch.undo()
         # [4] has 15 patterns, and the layered shapes of size 2..5 number 26
         for command, k, size in (("conjectures", "4", 15), ("bounds", "5", 26)):
             argv = (command, "--all-k", k, "--n-from", "1", "--n-to", "6", "--no-cache")
