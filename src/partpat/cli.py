@@ -80,10 +80,6 @@ class FindingError(RuntimeError):
     """A hard assertion failed; ``main`` prints its message, after any details the command printed."""
 
 
-class _UsageError(ValueError):
-    pass
-
-
 def _fmt(x: Any) -> str:
     if x is None:
         return ""
@@ -317,21 +313,18 @@ def _conjecture_probes(tau_text: str, pm: int, usable: Sequence[dict[str, Any]])
     status = "inconsistent" if _margin_blow_up(margins) else "consistent"
     last = usable[-1]
     rows24 = []
-    for r in usable:
-        f = r["f_ratio"]
-        c_est = 1.0 / (1.0 - f) if f < 1.0 else None
-        dist = abs(c_est - round(c_est)) if c_est is not None else None
-        rows24.append({"n": r["n"], "c_estimate": c_est, "distance_to_integer": dist})
+    for r in usable:  # 1 <= A_n <= Bell(n) < n^n, so 0 <= F_n < 1 and c >= 1
+        c_est = 1.0 / (1.0 - r["f_ratio"])
+        rows24.append({"n": r["n"], "c_estimate": c_est, "distance_to_integer": abs(c_est - round(c_est))})
 
     summary6 = f"|F_n - (1-1/{pm})| * ln n stays within [{_fmt(min(margins))}, {_fmt(max(margins))}]"
     tail = rows24[-1]
-    if tail["c_estimate"] is not None:
-        nearest = max(1, round(tail["c_estimate"]))
-        if nearest != pm:
-            summary6 += (
-                f"; observed trend prefers c={nearest} (target {_fmt(1 - 1 / nearest)})"
-                f" over pm-based c={pm}"
-            )
+    nearest = round(tail["c_estimate"])
+    if nearest != pm:
+        summary6 += (
+            f"; observed trend prefers c={nearest} (target {_fmt(1 - 1 / nearest)})"
+            f" over pm-based c={pm}"
+        )
     return [
         _verdict(
             "5", tau_text, status,
@@ -433,14 +426,10 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         k, r, t = shape.k, shape.r, shape.k - shape.r
         for rec in records:
             n = rec.n
-            ln_count = math.log(rec.count) if rec.count > 0 else None
+            ln_count = math.log(rec.count)  # r < k, so the all-singleton partition avoids
             upper = log_upper_bound_layered(k, r, n)
             lower = math.log(uniform_count(n, t)) if n % t == 0 else None
-            within = (
-                ln_count is not None
-                and ln_count <= upper + 1e-9
-                and (lower is None or lower <= ln_count + 1e-9)
-            )
+            within = ln_count <= upper + 1e-9 and (lower is None or lower <= ln_count + 1e-9)
             if not within:
                 findings.append(
                     f"bound violation: tau={rec.tau} n={n} ln_count={_fmt(ln_count)} "
@@ -528,12 +517,11 @@ def _cmd_permeability(args: argparse.Namespace) -> int:
 
 
 def _cmd_uniform(args: argparse.Namespace) -> int:
-    if args.limit is not None and args.limit < 0:
-        raise ValueError("--limit must be >= 0")
+    if args.list is not None and args.list < 0:
+        raise ValueError("--list must be >= 0")
     print(f"count = {uniform_count(args.n, args.sections)}")
-    if args.list:
-        for p in islice(uniform_partitions(args.n, args.sections), args.limit):
-            print(format_partition(p))
+    for p in islice(uniform_partitions(args.n, args.sections), args.list):
+        print(format_partition(p))
     return EXIT_OK
 
 
@@ -542,7 +530,7 @@ def _cmd_uniform(args: argparse.Namespace) -> int:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # route argparse failures to exit code 1
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _add_scan_flags(sub: argparse.ArgumentParser) -> None:
@@ -602,8 +590,7 @@ def _build_parser() -> _Parser:
     p_uni = subs.add_parser("uniform", help="stream the uniform partitions of [n]")
     p_uni.add_argument("--n", type=int, required=True)
     p_uni.add_argument("--sections", type=int, required=True)
-    p_uni.add_argument("--list", action="store_true", help="print the members")
-    p_uni.add_argument("--limit", type=int, help="print at most this many members")
+    p_uni.add_argument("--list", nargs="?", type=int, default=0, metavar="N", help="print at most N members, all without N")
     p_uni.set_defaults(func=_cmd_uniform)
 
     return parser

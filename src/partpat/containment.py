@@ -26,7 +26,7 @@ from .core import (
     CeilingError,
     LayeredShape,
     SetPartition,
-    _increasing_ints,
+    _positions,
     _Value,
     is_permutation_partition,
     parse,
@@ -44,14 +44,14 @@ __all__ = [
 
 
 class Occurrence(_Value):
-    """Increasing injection sending pattern element j to host element map[j-1]."""
+    """Increasing injection sending pattern element j to host element map[j-1].
+    Positions go through ``operator.index`` and must be at least 1."""
 
     __slots__ = _fields = ("map",)
     map: tuple[int, ...]
 
     def __init__(self, map: Sequence[int]) -> None:
-        mapped = _increasing_ints(map, "occurrence map must be strictly increasing")
-        object.__setattr__(self, "map", mapped)
+        object.__setattr__(self, "map", _positions(map, "occurrence map"))
 
 
 def find_occurrence(host: SetPartition, pattern: SetPartition) -> Occurrence | None:

@@ -14,7 +14,7 @@ comma-separated ("1,10,12/2,3"). ``parse`` accepts both forms.
 from __future__ import annotations
 
 import itertools
-from operator import lt
+from operator import index, lt
 from typing import Any, Iterable
 
 __all__ = [
@@ -36,9 +36,10 @@ __all__ = [
 
 
 class CeilingError(RuntimeError):
-    """A resource ceiling refused the work: the transfer DP's state cap, an
-    n or k ceiling, or a containment search's recursion limit. ``counts``
-    holds the exact A_0..A_m-1 below a refused DP layer m."""
+    """A resource ceiling refused the work: the transfer DP's state cap, the
+    cap on an ``--all-k`` family's size, the oracle's n ceiling, or a
+    search's recursion limit. ``counts`` holds the exact A_0..A_m-1 below a
+    refused DP layer m."""
 
     def __init__(self, message: str, counts: list[int] | None = None) -> None:
         super().__init__(message)
@@ -98,11 +99,15 @@ class _Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-def _increasing_ints(values: Iterable[int], message: str) -> tuple[int, ...]:
-    """``values`` as a tuple of ints; ValueError(message) unless strictly increasing."""
-    out = tuple(map(int, values))
+def _positions(values: Iterable[int], what: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ints, read through ``operator.index`` (a
+    float or a string raises TypeError); ValueError naming ``what`` unless
+    they are strictly increasing positions, each at least 1."""
+    out = tuple(map(index, values))
     if not all(map(lt, out, out[1:])):
-        raise ValueError(message)
+        raise ValueError(f"{what} must be strictly increasing")
+    if out and out[0] < 1:
+        raise ValueError(f"{what} must be strictly increasing positive positions")
     return out
 
 
@@ -295,13 +300,14 @@ def standardize(elements: Iterable[int], host: SetPartition) -> SetPartition:
 
 class LayeredShape(_Value):
     """Block sizes (a_1, ..., a_r) of a layered partition: the smallest a_1
-    elements form one block, the next a_2 the second, and so on."""
+    elements form one block, the next a_2 the second, and so on. Sizes go
+    through ``operator.index``, so a non-integer raises TypeError."""
 
     __slots__ = _fields = ("parts",)
     parts: tuple[int, ...]
 
     def __init__(self, parts: Iterable[int]) -> None:
-        parts = tuple(map(int, parts))
+        parts = tuple(map(index, parts))
         if parts and min(parts) < 1:
             raise ValueError("layer sizes must be positive")
         self._assign(parts)
@@ -377,11 +383,7 @@ class IntervalCut(_Value):
     cuts: tuple[int, ...]
 
     def __init__(self, cuts: Iterable[int]) -> None:
-        message = "cuts must be strictly increasing positive positions"
-        cuts = _increasing_ints(cuts, message)
-        if cuts and cuts[0] < 1:
-            raise ValueError(message)
-        self._assign(cuts)
+        self._assign(_positions(cuts, "cuts"))
 
     def intervals(self, n: int) -> list[tuple[int, int]]:
         """The induced intervals of [n] as inclusive (lo, hi) pairs."""
@@ -421,8 +423,6 @@ def permeability(p: SetPartition) -> tuple[int, IntervalCut]:
 
 def permeability_oracle(p: SetPartition) -> int:
     """Exhaustive minimum over all cut sets, for cross-checking the greedy routine."""
-    if p.n == 0:
-        return 0
     bo = p.block_of
 
     def feasible(cuts: tuple[int, ...]) -> bool:
@@ -437,7 +437,7 @@ def permeability_oracle(p: SetPartition) -> int:
                 seen.clear()
         return True
 
-    for m in range(p.n):
+    for m in range(p.n + 1):
         for cuts in itertools.combinations(range(1, p.n), m):
             if feasible(cuts):
                 return m

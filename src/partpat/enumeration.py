@@ -530,7 +530,9 @@ class CountCache:
     unterminated, does not parse or holds anything else, as an append cut
     short leaves it) is skipped with a warning on stderr and cut off before
     the next append, so its count is recomputed; a bad line anywhere else
-    is an error naming the file and the line.
+    is an error naming the file and the line. So is a complete line that
+    gives a key already read another count, wherever it stands; an
+    identical repeat, as two racing appenders can write, is served.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -570,7 +572,13 @@ class CountCache:
                     )
                     self._cut = start
                     continue
-                self._table[tau, n] = int(count)
+                value = int(count)
+                prior = self._table.setdefault((tau, n), value)
+                if prior != value:
+                    raise ValueError(
+                        f"cache file {self.path}, line {i + 1}: tau {tau!r}, n {n} has count {count},"
+                        f" but an earlier line has {prior}"
+                    )
 
     def __len__(self) -> int:
         return len(self._table)

@@ -68,14 +68,12 @@ def block_recursion(k: int, n_max: int) -> list[int]:
 
 def singleton_count(k: int, n: int) -> int:
     """Partitions of [n] avoiding the all-singleton pattern of [k]: exactly
-    those with at most k - 1 blocks, so sum_{j=1..k-1} S(n, j) for n >= 1."""
+    those with at most k - 1 blocks, so sum_{j=0..k-1} S(n, j)."""
     if k < 2:
         raise ValueError("k must be >= 2")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return 1
-    total = sum(stirling2(n, j) for j in range(1, k))
+    total = sum(stirling2(n, j) for j in range(k))
     if total > (k - 1) ** n:
         raise RuntimeError(
             f"internal error: singleton_count({k}, {n}) = {total} exceeds (k-1)^n"
@@ -86,15 +84,13 @@ def singleton_count(k: int, n: int) -> int:
 def log_upper_bound_block(k: int, n: int) -> float:
     """ln of k^n * n^(n (1 - 1/(k-1))), the ceiling for the one-block pattern.
 
-    The exponent degenerates at k = 2, where only the all-singleton
-    partition avoids; that case returns n ln 2, still an upper bound.
+    At k = 2, where only the all-singleton partition avoids, the exponent
+    is 0 and the bound is n ln 2.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if k == 2:
-        return n * math.log(2.0)
     return n * math.log(k) + n * (1.0 - 1.0 / (k - 1)) * math.log(n)
 
 

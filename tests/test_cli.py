@@ -245,6 +245,34 @@ class TestCache:
         )
         assert rc == 1 and str(cache) in err and "line 1" in err
 
+    @pytest.mark.parametrize("where", ["inner", "last"])
+    def test_conflicting_count_names_both(self, capsys, tmp_path, where):
+        # a later complete line giving a key read before another count is an error, wherever it stands
+        lines = ['{"tau": "12/34", "n": 6, "count": "122"}', '{"tau": "12/34", "n": 6, "count": "999"}']
+        if where == "inner":
+            lines.append('{"tau": "12/34", "n": 5, "count": "41"}')
+        cache = tmp_path / "counts.jsonl"
+        cache.write_text("\n".join(lines) + "\n")
+        rc, out, err = run(
+            capsys, "count", "--pattern", "12/34", "--n-from", "6", "--n-to", "6", "--cache", str(cache)
+        )
+        assert rc == 1 and out == ""
+        assert err == (
+            f"error: cache file {cache}, line 2: tau '12/34', n 6 has count 999,"
+            " but an earlier line has 122\n"
+        )
+
+    def test_identical_repeat_is_served(self, capsys, tmp_path):
+        # two appenders racing on one (tau, n) write the same line twice
+        cache = tmp_path / "counts.jsonl"
+        cache.write_text('{"tau": "12/34", "n": 6, "count": "122"}\n' * 2)
+        rc, out, err = run(
+            capsys, "count", "--pattern", "12/34", "--n-from", "6", "--n-to", "6", "--cache", str(cache)
+        )
+        assert rc == 0 and err == ""
+        assert out.splitlines()[1].split(",")[:3] == ["12/34", "6", "122"]
+        assert cache.read_text().count("\n") == 2
+
     @pytest.mark.parametrize(
         ("line", "n", "count"),
         [('{"tau": "12/34", "n": 6.7, "count": "999"}', 6, 122), ('{"tau": "12/34", "n": 7, "count": 5.5}', 7, 367)],
@@ -521,6 +549,16 @@ class TestBounds:
         taus = {line.split(",")[0] for line in out.strip().splitlines()[1:]}
         assert taus == {"12", "123", "1/23", "12/3"}
 
+    def test_every_audited_count_is_positive(self, capsys):
+        # every audited shape has r < k, so the all-singleton partition avoids it
+        rc, out, _ = run(
+            capsys, "bounds", "--all-k", "5", "--n-from", "1", "--n-to", "12",
+            "--format", "json", "--no-cache",
+        )
+        rows = json.loads(out)
+        assert rc == 0 and len(rows) == 26 * 12
+        assert all(int(r["count"]) > 0 and r["ln_count"] is not None for r in rows)
+
     def test_repeated_shape_scanned_once(self, capsys):
         # " 2, 2" parses to the shape 2,2; the first-seen order is kept
         rc, out, _ = run(
@@ -670,16 +708,21 @@ class TestUniformCommand:
         assert out.splitlines() == ["count = 2", "13/24", "14/23"]
 
     def test_limit(self, capsys):
-        rc, out, _ = run(
-            capsys, "uniform", "--n", "8", "--sections", "2", "--list", "--limit", "3"
-        )
+        rc, out, _ = run(capsys, "uniform", "--n", "8", "--sections", "2", "--list", "3")
         assert len(out.splitlines()) == 4
 
     def test_negative_limit_named(self, capsys):
-        rc, out, err = run(
-            capsys, "uniform", "--n", "4", "--sections", "2", "--list", "--limit", "-1"
-        )
-        assert rc == 1 and out == "" and err == "error: --limit must be >= 0\n"
+        rc, out, err = run(capsys, "uniform", "--n", "4", "--sections", "2", "--list", "-1")
+        assert rc == 1 and out == "" and err == "error: --list must be >= 0\n"
+
+    @pytest.mark.parametrize("flags", [(), ("--list", "0")], ids=["no-list", "list-0"])
+    def test_count_alone(self, capsys, flags):
+        rc, out, _ = run(capsys, "uniform", "--n", "8", "--sections", "2", *flags)
+        assert rc == 0 and out == "count = 24\n"
+
+    def test_limit_flag_is_gone(self, capsys):
+        rc, out, err = run(capsys, "uniform", "--n", "8", "--sections", "2", "--limit", "3")
+        assert rc == 1 and out == "" and "unrecognized arguments: --limit 3" in err
 
     def test_indivisible(self, capsys):
         rc, _, err = run(capsys, "uniform", "--n", "5", "--sections", "2")

@@ -1,7 +1,8 @@
 """The documentation examples run: each partpat module's docstrings and the
 README's library session. The package exports each library module's
 public names, the README names every scan flag, neither the README nor
-``partpat --help`` names a flag the CLI lacks, and the package's version
+``partpat --help`` names a flag the CLI lacks, each text that states a
+resource cap gives the figure the code holds, and the package's version
 agrees with pyproject.toml."""
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import partpat
-from partpat import cli
+from partpat import cli, enumeration
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -65,6 +66,24 @@ def test_readme_flags_match_the_parser():
     scan = argparse.ArgumentParser()
     cli._add_scan_flags(scan)
     assert _options(scan) - {"-h", "--help"} - named == set()
+
+
+DP_CAP = f"{enumeration._DP_MAX_STATES:,}"
+FAMILY_CAP = f"{cli._FAMILY_MAX:,}"
+
+
+@pytest.mark.parametrize(
+    ("text", "figure"),
+    [
+        (README.read_text(encoding="utf-8"), DP_CAP),
+        (README.read_text(encoding="utf-8"), FAMILY_CAP),
+        (cli.__doc__, FAMILY_CAP),  # the text of ``partpat --help``
+        (enumeration.count_sequence.__doc__, DP_CAP),
+    ],
+    ids=["README-dp", "README-family", "help-family", "count_sequence-dp"],
+)
+def test_cap_figures_follow_the_code(text, figure):
+    assert figure in text
 
 
 def test_version_matches_pyproject():

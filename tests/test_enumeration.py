@@ -382,6 +382,20 @@ class TestFRatio:
         with pytest.raises(ValueError):
             f_ratio(CountRecord("12", 5, -1))
 
+    def test_below_1_on_every_usable_count(self):
+        # 1 <= A_n <= Bell(n) < n^n for n >= 2, so 0 <= F_n < 1 and the
+        # conjectures' c-estimate 1 / (1 - F_n) is finite and at least 1
+        records = [CountRecord("bell", n, bell(n)) for n in range(301)]
+        for k in range(3, 7):
+            records += [CountRecord(f"block-{k}", n, c) for n, c in enumerate(block_recursion(k, 300))]
+        for k in range(1, 6):
+            for tau in map(str, patterns_of(k)):
+                # n = 12 first, so each sequence is counted once
+                records += [CountRecord(tau, n, cached_count(tau, n)) for n in range(12, -1, -1)]
+        ratios = [f for f in map(f_ratio, records) if f is not None]
+        assert len(ratios) == 299 + 4 * 299 + (75 - 1) * 11
+        assert all(0.0 <= f < 1.0 for f in ratios)
+
 
 class TestUniformPartitions:
     def test_two_sections_of_four(self):

@@ -149,7 +149,9 @@ class TestLogUpperBoundBlock:
         )
 
     def test_k2_special_case(self):
-        assert log_upper_bound_block(2, 7) == pytest.approx(7 * math.log(2))
+        # the exponent 1 - 1/(k - 1) is 0 at k = 2, so the general form is n ln 2 exactly
+        for n in range(1, 101):
+            assert log_upper_bound_block(2, n) == n * math.log(2)
 
     def test_k1_rejected(self):
         with pytest.raises(ValueError):

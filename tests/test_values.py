@@ -152,3 +152,27 @@ def test_occurrence_message(image):
     with pytest.raises(ValueError) as err:
         Occurrence(image)
     assert str(err.value) == "occurrence map must be strictly increasing"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Occurrence([1.9, 2.5, "3"]),
+        lambda: Occurrence([1, 2.0]),
+        lambda: IntervalCut([1.7, "3"]),
+        lambda: LayeredShape([2.9, "2"]),
+        lambda: LayeredShape(["2"]),
+    ],
+    ids=["Occurrence-floats", "Occurrence-integral-float", "IntervalCut", "LayeredShape", "LayeredShape-text"],
+)
+def test_non_integer_fields_raise_type_error(build):
+    # int() would truncate 1.9 to 1 and read "3" as 3
+    with pytest.raises(TypeError):
+        build()
+
+
+@pytest.mark.parametrize("image", [(-3, 2), (0, 1), (0,)])
+def test_occurrence_positions_start_at_1(image):
+    with pytest.raises(ValueError) as err:
+        Occurrence(image)
+    assert str(err.value) == "occurrence map must be strictly increasing positive positions"
