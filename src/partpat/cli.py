@@ -463,10 +463,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 def _cmd_dacp(args: argparse.Namespace) -> int:
     if args.direction == "to":
         p = parse(args.input)
-        graph = to_dacp(p)
-        print(json.dumps(dacp_to_obj(graph)))
-        if args.roundtrip and from_dacp(graph) != p:
-            raise FindingError("roundtrip mismatch")
+        print(json.dumps(dacp_to_obj(to_dacp(p))))
     else:
         text = args.input
         if text.startswith("@"):
@@ -475,11 +472,10 @@ def _cmd_dacp(args: argparse.Namespace) -> int:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise DacpError(f"invalid graph JSON: {exc}")
-        graph = dacp_from_obj(obj)
-        p = from_dacp(graph)
+        p = from_dacp(dacp_from_obj(obj))
         print(format_partition(p))
-        if args.roundtrip and from_dacp(to_dacp(p)) != p:
-            raise FindingError("roundtrip mismatch")
+    if args.roundtrip and from_dacp(to_dacp(p)) != p:
+        raise FindingError("roundtrip mismatch")
     return EXIT_OK
 
 

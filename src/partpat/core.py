@@ -115,10 +115,12 @@ class SetPartition(_Value):
     """A partition of {1, ..., n} into disjoint nonempty blocks.
 
     The constructor canonicalizes and validates: blocks are re-sorted, and
-    the element multiset must be exactly 1..n. The empty partition (n = 0,
-    no blocks) is a valid value. ``block_of[e]`` and ``rgs[e - 1]`` give
-    the index of the block holding e; both are built on first use and take
-    no part in equality, hashing, repr or pickling.
+    the elements must be exactly 1..n, each of type int (a bool is not).
+    ``n`` goes through ``operator.index``, so a non-integer raises
+    TypeError. The empty partition (n = 0, no blocks) is a valid value.
+    ``block_of[e]`` and ``rgs[e - 1]`` give the index of the block holding
+    e; both are built on first use and take no part in equality, hashing,
+    repr or pickling.
 
     >>> parse("134/25").rgs
     (0, 1, 0, 0, 1)
@@ -132,6 +134,7 @@ class SetPartition(_Value):
     rgs: tuple[int, ...]  # rgs[e - 1] = block_of[e], built on first use
 
     def __init__(self, n: int, blocks: Iterable[Iterable[int]]) -> None:
+        n = index(n)
         if n < 0:
             raise ValueError("ground size must be nonnegative")
         canon = list(map(tuple, map(sorted, blocks)))
@@ -139,7 +142,7 @@ class SetPartition(_Value):
         if not (
             len(flat) == n
             and all(canon)
-            and all(map(isinstance, flat, itertools.repeat(int)))
+            and {*map(type, flat)} <= {int}
             and sorted(flat) == list(range(1, len(flat) + 1))
         ):
             raise _partition_fault(n, canon)
@@ -178,7 +181,7 @@ def _partition_fault(n: int, canon: list[tuple[int, ...]]) -> ValueError:
         if not ordered:
             return ValueError("empty block")
         for e in ordered:
-            if not isinstance(e, int) or e < 1:
+            if type(e) is not int or e < 1:
                 return ValueError(f"element {e!r} is not a positive integer")
             if e in seen:
                 return ValueError(f"duplicate element {e}")
@@ -229,31 +232,24 @@ def _parse_fault(text: str) -> ParseError | None:
     character by character, or None for a valid text. ``parse`` runs it
     only on a text it rejects, for the message and position of its error."""
     comma_form = "," in text or "0" in text
+    # a piece is a comma-separated field, or one character in digit form
+    kind, gap = ("element", 1) if comma_form else ("character", 0)
     seen: set[int] = set()
     cursor = 0
     for token in text.split("/") if text else ():
         if not token:
             return ParseError("empty block", cursor)
-        if comma_form:
-            offset = 0
-            for piece in token.split(","):
-                if not piece or not (piece.isascii() and piece.isdigit()):
-                    return ParseError(f"malformed element {piece!r}", cursor + offset)
-                value = int(piece)
-                if value == 0:
-                    return ParseError("element 0 is not allowed", cursor + offset)
-                if value in seen:
-                    return ParseError(f"duplicate element {value}", cursor + offset)
-                seen.add(value)
-                offset += len(piece) + 1
-        else:
-            for offset, ch in enumerate(token):
-                if ch not in "123456789":
-                    return ParseError(f"malformed character {ch!r}", cursor + offset)
-                value = int(ch)
-                if value in seen:
-                    return ParseError(f"duplicate element {value}", cursor + offset)
-                seen.add(value)
+        at = cursor
+        for piece in token.split(",") if comma_form else token:
+            if not (piece.isascii() and piece.isdigit()):  # "".isdigit() is False
+                return ParseError(f"malformed {kind} {piece!r}", at)
+            value = int(piece)
+            if value == 0:  # only in comma form: a "0" selects it
+                return ParseError("element 0 is not allowed", at)
+            if value in seen:
+                return ParseError(f"duplicate element {value}", at)
+            seen.add(value)
+            at += len(piece) + gap
         cursor += len(token) + 1
     for e in range(1, max(seen, default=0) + 1):
         if e not in seen:

@@ -9,7 +9,8 @@ a graph: blocks are the complement components and element labels come
 from a linear extension of the edge order (all extensions give the same
 partition), found by the same topological sort that detects a cycle.
 Containment is induced-subgraph occurrence, searched on per-vertex
-bitsets of each relation.
+bitsets of each relation, and is answered only for graphs that
+``validate_dacp`` accepts.
 """
 
 from __future__ import annotations
@@ -39,13 +40,14 @@ class DacpError(ValueError):
 class Dacp(_Value):
     """Digraph container with 1-based vertices; labels matter only up to
     isomorphism for the operations below. May hold an invalid graph until
-    ``validate_dacp`` has accepted it. Vertices go through
-    ``operator.index``, so a non-integer raises TypeError.
+    ``validate_dacp`` has accepted it. The vertex count and the vertices go
+    through ``operator.index``, so a non-integer raises TypeError.
 
     ``masks[v]`` is ``(non-adjacent, in-neighbours, out-neighbours)`` of
     vertex v, each a bitset with bit u set for vertex u. It is built on
     first use and takes no part in equality, hashing, repr or pickling;
-    building it raises DacpError for a vertex outside 1..n.
+    building it runs ``validate_dacp``'s checks and raises its DacpError
+    for an invalid graph.
     """
 
     __slots__ = ("n", "edges", "masks")
@@ -55,21 +57,19 @@ class Dacp(_Value):
     masks: list[tuple[int, int, int]]  # built on first use
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]) -> None:
-        self._assign(n, frozenset((index(a), index(b)) for a, b in edges))
+        self._assign(index(n), frozenset((index(a), index(b)) for a, b in edges))
 
     def __getattr__(self, name: str) -> Any:
         # called only while the masks slot is unset, as for SetPartition.block_of
         if name != "masks":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        n = self.n
-        outs, ins = [0] * (n + 1), [0] * (n + 1)
-        for a, b in self.edges:
-            if not (1 <= a <= n and 1 <= b <= n):
-                raise DacpError(f"vertex out of range in edge ({a}, {b})")
-            outs[a] |= 1 << b
-            ins[b] |= 1 << a
-        full = (1 << (n + 1)) - 2
-        value = [(full & ~(1 << v | ins[v] | outs[v]), ins[v], outs[v]) for v in range(n + 1)]
+        outs, ins = _scan(self)[2:]
+        full = (1 << (self.n + 1)) - 2
+        bit = (1).__lshift__  # a neighbour list holds each vertex once, so its bits sum to their union
+        value = []
+        for v in range(self.n + 1):
+            i, o = sum(map(bit, ins[v])), sum(map(bit, outs[v]))
+            value.append((full & ~(1 << v | i | o), i, o))
         object.__setattr__(self, name, value)
         return value
 
@@ -86,14 +86,16 @@ def to_dacp(p: SetPartition) -> Dacp:
     return g
 
 
-def _scan(g: Dacp) -> tuple[list[list[int]], list[int]]:
+def _scan(g: Dacp) -> tuple[list[list[int]], list[int], list[list[int]], list[list[int]]]:
     """Check every invariant of g, raising DacpError naming the first fault:
     a vertex out of range or a self-loop, in edge order, then a directed
-    cycle, then a complement that is not a union of cliques.
+    cycle, then a complement that is not a union of cliques. It is the one
+    edge check, run by ``validate_dacp``, ``from_dacp`` and ``Dacp.masks``.
 
     Returns the complement components, each sorted, in order of least
-    vertex (the blocks, in the graph's own labels), and ``rank[v]``, the
-    place of v in a linear extension of the edge order, lowest first.
+    vertex (the blocks, in the graph's own labels); ``rank[v]``, the place
+    of v in a linear extension of the edge order, lowest first; and
+    ``outs[v]`` and ``ins[v]``, the out- and in-neighbours of v.
     """
     n = g.n
     if n < 0:
@@ -139,7 +141,7 @@ def _scan(g: Dacp) -> tuple[list[list[int]], list[int]]:
             (u, v) for comp in components for u, v in combinations(comp, 2) if u in outs[v] or u in ins[v]
         )
         raise DacpError(f"complement is not a disjoint union of cliques (vertices {u} and {v})")
-    return components, rank
+    return components, rank, outs, ins
 
 
 def validate_dacp(g: Dacp) -> list[list[int]]:
@@ -162,12 +164,13 @@ def from_dacp(g: Dacp) -> SetPartition:
     adjacent, and acyclicity leaves each such pair one edge; and g has as
     many edges as cross-component pairs, so no edge lies inside a block.
     """
-    components, rank = _scan(g)
+    components, rank, _, _ = _scan(g)
     return SetPartition(g.n, [[rank[v] for v in comp] for comp in components])
 
 
 def dacp_contains(host: Dacp, pattern: Dacp) -> bool:
-    """True iff some induced subgraph of host is isomorphic to pattern.
+    """True iff some induced subgraph of host is isomorphic to pattern;
+    raises ``validate_dacp``'s DacpError for an invalid pattern, then host.
 
     Backtracking over injective vertex assignments with forward checking:
     the host candidates for pattern vertex i are the AND of one relation
@@ -176,12 +179,12 @@ def dacp_contains(host: Dacp, pattern: Dacp) -> bool:
     deliberately independent of the partition-side matcher so the two can
     cross-check each other.
     """
+    pm, hm = pattern.masks, host.masks
     k, n = pattern.n, host.n
     if k > n:
         return False
     if k == 0:
         return True
-    pm = pattern.masks
     # wants[i][j] picks the host mask that the image of pattern vertex j
     # must have the candidate for i in: 0 none, 1 for i -> j, 2 for j -> i
     wants = [
@@ -189,7 +192,7 @@ def dacp_contains(host: Dacp, pattern: Dacp) -> bool:
         for i in range(1, k + 1)
     ]
     try:
-        return _place(0, wants, host.masks, [0] * k, (1 << (n + 1)) - 2)
+        return _place(0, wants, hm, [0] * k, (1 << (n + 1)) - 2)
     except RecursionError:  # _place recurses once per pattern vertex
         raise CeilingError(f"graph containment search recursion limit exceeded by {k} pattern vertices") from None
 

@@ -549,6 +549,10 @@ class TestBounds:
         taus = {line.split(",")[0] for line in out.strip().splitlines()[1:]}
         assert taus == {"12", "123", "1/23", "12/3"}
 
+    def test_no_shape_source_refused(self, capsys):
+        rc, out, err = run(capsys, "bounds", "--n-from", "1", "--n-to", "4", "--no-cache")
+        assert (rc, out, err) == (1, "", "error: supply --shape or --all-k\n")
+
     def test_every_audited_count_is_positive(self, capsys):
         # every audited shape has r < k, so the all-singleton partition avoids it
         rc, out, _ = run(

@@ -95,6 +95,41 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("10,1/2,3,4,5,6,7,8,9,0")
 
+    @pytest.mark.parametrize(
+        ("text", "message", "position"),
+        [
+            ("12/3a4", "malformed character 'a'", 4),
+            ("1a/2", "malformed character 'a'", 1),
+            ("²", "malformed character '²'", 0),
+            ("1/2٣", "malformed character '٣'", 3),
+            (" 1", "malformed character ' '", 0),
+            ("1,2/3,x,4", "malformed element 'x'", 6),
+            ("1,,10/2,3,4,5,6,7,8,9", "malformed element ''", 2),
+            ("1,2,", "malformed element ''", 4),
+            ("12,3/1,4,,5", "malformed element ''", 9),
+            ("10,1/2,3,4,5,6,7,8,9,0", "element 0 is not allowed", 21),
+            ("1,2/3,0", "element 0 is not allowed", 6),
+            ("12/23", "duplicate element 2", 3),
+            ("1/23/4/32", "duplicate element 3", 7),
+            ("3,1/2,3", "duplicate element 3", 6),
+            ("1,2/3,10,4/5,6,7,8,9,10", "duplicate element 10", 21),
+            ("13", "missing element 2", 2),
+            ("1/24", "missing element 3", 4),
+            ("1,2/4,10", "missing element 3", 8),
+            ("/12", "empty block", 0),
+            ("12//3", "empty block", 3),
+            ("1,2//3", "empty block", 4),
+            ("12/3/", "empty block", 5),
+            ("/", "empty block", 0),
+        ],
+    )
+    def test_fault_message_and_position(self, text, message, position):
+        # the position counts characters from 0, commas and slashes included
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
+
 
 @st.composite
 def shuffled_partition_text(draw) -> str:

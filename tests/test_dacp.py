@@ -30,6 +30,23 @@ def relabel(g: Dacp, perm: dict[int, int]) -> Dacp:
     return Dacp(g.n, frozenset((perm[a], perm[b]) for a, b in g.edges))
 
 
+# graphs with two faults each, and the message of the one named first
+TWO_FAULTS = [
+    (Dacp(3, {(1, 2), (2, 1), (4, 1)}), "vertex out of range in edge (4, 1)"),
+    (Dacp(3, {(3, 1), (2, 2)}), "self-loop at vertex 2"),
+    (Dacp(-1, {(1, 1)}), "negative vertex count"),
+    # the 2-cycle 1 <-> 2, and 1, 2, 3, 4 one complement component holding the edge 4 -> 3
+    (Dacp(4, {(1, 2), (2, 1), (4, 3)}), "directed cycle"),
+    # components {1, 4, 6} and {2, 3, 5} fully joined, each holding an edge:
+    # the component of least vertex is named, not the least pair
+    (
+        Dacp(6, {(max(a, b), min(a, b)) for a in (1, 4, 6) for b in (2, 3, 5)} | {(6, 4), (5, 2)}),
+        "complement is not a disjoint union of cliques (vertices 4 and 6)",
+    ),
+]
+TWO_FAULT_IDS = ["range-before-cycle", "self-loop-before-clique", "negative-n", "cycle-before-clique", "two-cliques"]
+
+
 class TestToDacp:
     def test_one_block_has_no_edges(self):
         assert to_dacp(parse("12345")).edges == frozenset()
@@ -130,23 +147,7 @@ class TestValidation:
         with pytest.raises(DacpError, match="out of range"):
             validate_dacp(Dacp(2, frozenset({(3, 1)})))
 
-    @pytest.mark.parametrize(
-        ("g", "message"),
-        [
-            (Dacp(3, {(1, 2), (2, 1), (4, 1)}), "vertex out of range in edge (4, 1)"),
-            (Dacp(3, {(3, 1), (2, 2)}), "self-loop at vertex 2"),
-            (Dacp(-1, {(1, 1)}), "negative vertex count"),
-            # the 2-cycle 1 <-> 2, and 1, 2, 3, 4 one complement component holding the edge 4 -> 3
-            (Dacp(4, {(1, 2), (2, 1), (4, 3)}), "directed cycle"),
-            # components {1, 4, 6} and {2, 3, 5} fully joined, each holding an edge:
-            # the component of least vertex is named, not the least pair
-            (
-                Dacp(6, {(max(a, b), min(a, b)) for a in (1, 4, 6) for b in (2, 3, 5)} | {(6, 4), (5, 2)}),
-                "complement is not a disjoint union of cliques (vertices 4 and 6)",
-            ),
-        ],
-        ids=["range-before-cycle", "self-loop-before-clique", "negative-n", "cycle-before-clique", "two-cliques"],
-    )
+    @pytest.mark.parametrize(("g", "message"), TWO_FAULTS, ids=TWO_FAULT_IDS)
     def test_first_of_two_faults_is_named(self, g, message):
         for check in (validate_dacp, from_dacp):
             with pytest.raises(DacpError) as fault:
@@ -193,13 +194,34 @@ class TestDacpContains:
 
     @pytest.mark.parametrize("edge", [(0, 1), (3, 1), (-1, 1)], ids=["zero", "past-n", "negative"])
     def test_vertex_out_of_range_refused(self, edge):
-        # nothing validates the graphs, so the mask builder checks the range
+        # the masks are built only for a graph that passes validate_dacp's checks
         good = to_dacp(parse("1/2"))
         message = f"vertex out of range in edge ({edge[0]}, {edge[1]})"
         for host, pattern in ((Dacp(2, {edge}), good), (good, Dacp(2, {edge}))):
             with pytest.raises(DacpError) as fault:
                 dacp_contains(host, pattern)
             assert str(fault.value) == message
+
+    @pytest.mark.parametrize(
+        ("g", "message"),
+        TWO_FAULTS
+        + [
+            (Dacp(1, {(1, 1)}), "self-loop at vertex 1"),
+            (Dacp(2, {(1, 2), (2, 1)}), "directed cycle"),
+            # oriented, but the complement is the path 1 - 2 - 3
+            (Dacp(3, {(3, 1)}), "complement is not a disjoint union of cliques (vertices 1 and 3)"),
+        ],
+        ids=TWO_FAULT_IDS + ["self-loop", "two-cycle", "path-complement"],
+    )
+    def test_refuses_what_validate_dacp_refuses(self, g, message):
+        # as host and as pattern, beside partners smaller and larger: pairs the
+        # k > n and k == 0 shortcuts would answer are refused too; the self-loop
+        # against "1" and the two-cycle against "1/2", either way round, once gave True
+        for good in map(to_dacp, (parse(""), parse("1"), parse("1/2"), parse("134/25"))):
+            for host, pattern in ((g, good), (good, g)):
+                with pytest.raises(DacpError) as fault:
+                    dacp_contains(host, pattern)
+                assert str(fault.value) == message
 
     def test_pattern_past_the_recursion_limit_is_a_ceiling(self):
         # the search recurses once per pattern vertex; a lowered limit keeps the graphs small

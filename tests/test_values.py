@@ -139,6 +139,7 @@ def test_rgs_is_outside_the_value():
         (2, ((1, 2, 3),), "element 3 exceeds ground size 2"),
         (4, ((1, 2), (5,)), "element 5 exceeds ground size 4"),
         (3, ((1, 3),), "missing element 2"),
+        (2, ((True, 2),), "element True is not a positive integer"),
     ],
 )
 def test_set_partition_messages(n, blocks, message):
@@ -162,8 +163,13 @@ def test_occurrence_message(image):
         lambda: IntervalCut([1.7, "3"]),
         lambda: LayeredShape([2.9, "2"]),
         lambda: LayeredShape(["2"]),
+        lambda: SetPartition(2.0, [[1, 2]]),
+        lambda: Dacp(2.0, [(2, 1)]),
     ],
-    ids=["Occurrence-floats", "Occurrence-integral-float", "IntervalCut", "LayeredShape", "LayeredShape-text"],
+    ids=[
+        "Occurrence-floats", "Occurrence-integral-float", "IntervalCut", "LayeredShape", "LayeredShape-text",
+        "SetPartition-size", "Dacp-size",
+    ],
 )
 def test_non_integer_fields_raise_type_error(build):
     # int() would truncate 1.9 to 1 and read "3" as 3
