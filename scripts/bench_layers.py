@@ -39,6 +39,12 @@ of --repeat, and gives the peak states of a layer of the DP it runs:
   wrapped by timers: ``advance_ms``, ``settle_ms``, and ``settle_share``,
   the part of that run's wall time spent in ``_settle``.
 
+The ``large`` section times ``contains`` on seeded noncrossing hosts of
+200, 400 and 800 elements, each query's fastest of --repeat, against
+``14/25/36``, which crosses and so is never contained, and ``15/2/3/4``:
+per pattern and host size, ``ms`` and the answer ``contains``. These are
+the searches whose openings the bound blocks cut short.
+
 The counts (queries, hits, nodes, checks) depend only on --walk-n, so two
 builds timed with the same flags did the same work. The
 report goes to --out as JSON and, in short, to stdout. The script uses the
@@ -60,6 +66,7 @@ from unittest import mock
 from partpat import (
     SetPartition,
     all_partitions,
+    contains,
     count_sequence,
     dacp_contains,
     enumeration,
@@ -74,6 +81,8 @@ from partpat.enumeration import _dp_layers, _dp_sequence, _walk_sequence
 
 clock = time.perf_counter_ns
 SEED = 1
+LARGE_N = (200, 400, 800)
+LARGE_PATTERNS = ("14/25/36", "15/2/3/4")
 
 
 def random_host(rng: random.Random, n: int, bins: int) -> str:
@@ -92,6 +101,24 @@ def hosts(rng: random.Random, n_lo: int, n_hi: int, levels: int) -> list[str]:
         for n in range(n_lo, n_hi + 1)
         for i in range(levels)
     ]
+
+
+def noncrossing_host(rng: random.Random, n: int) -> SetPartition:
+    """A noncrossing partition of [n]: element e joins an open block,
+    closing the blocks opened after it, or closes some of the latest open
+    blocks and opens its own. A closed block takes no later element."""
+    blocks: list[list[int]] = []
+    open_blocks: list[int] = []
+    for e in range(1, n + 1):
+        i = rng.randrange(len(open_blocks) + 1)
+        if i < len(open_blocks) and rng.random() < 0.5:
+            blocks[open_blocks[i]].append(e)
+            del open_blocks[i + 1:]
+        else:
+            del open_blocks[i:]
+            open_blocks.append(len(blocks))
+            blocks.append([e])
+    return SetPartition.from_blocks(blocks)
 
 
 def fastest(calls: list, repeat: int) -> list[int]:
@@ -174,6 +201,19 @@ def measure_dp(repeat: int) -> dict:
     }
 
 
+def measure_large(repeat: int) -> dict:
+    rng = random.Random(SEED)
+    large_hosts = [noncrossing_host(rng, n) for n in LARGE_N]
+    report = {}
+    for text in LARGE_PATTERNS:
+        tau = parse(text)
+        ns = fastest([partial(contains, h, tau) for h in large_hosts], repeat)
+        report[text] = {
+            str(h.n): {"ms": t / 1e6, "contains": contains(h, tau)} for h, t in zip(large_hosts, ns)
+        }
+    return report
+
+
 def measure(repeat: int, walk_n: int) -> dict:
     rng = random.Random(SEED)
     texts = hosts(rng, 12, 40, 2)
@@ -211,6 +251,7 @@ def measure(repeat: int, walk_n: int) -> dict:
             "dacp_hits": sum(dacp_contains(g, p) for g, p in checks),
         },
         "dp": measure_dp(repeat),
+        "large": measure_large(repeat),
         "config": {
             "seed": SEED,
             "repeat": repeat,
@@ -242,6 +283,9 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{'dp.k5_n12.s':24} {dp['k5_n12']['s']:10.3f}")
     for name, value in dp["14/23_n20"].items():
         print(f"{'dp.14/23_n20.' + name:24} {value:10.3f}")
+    for text, rows in report["large"].items():
+        for n, row in rows.items():
+            print(f"{f'large.{text}.n{n}.ms':24} {row['ms']:10.3f}")
     return 0
 
 

@@ -8,7 +8,9 @@ element whose pattern block is already bound always takes the least
 element of its host block above the image of the element before it,
 which never loses an occurrence, so the search branches only where a
 pattern block opens, once per unused host block, and the witness it
-returns is the lexicographically least one. ``contains`` runs the same
+returns is the lexicographically least one. Once an opening has failed,
+the later ones stop where a bound pattern block with an element still to
+come would find no room left in its host block. ``contains`` runs the same
 search and builds no witness. The search recurses through the
 module-level ``_extend``, which takes every per-call list as an argument,
 so a query builds no function object and leaves no reference cycle. The
@@ -69,6 +71,15 @@ def find_occurrence(host: SetPartition, pattern: SetPartition) -> Occurrence | N
     in ascending order, so the first complete assignment is the least
     witness under tuple comparison.
 
+    Openings are also bounded from above. Say pattern element j opens at
+    host element e, and a pattern block c bound to host block C has a later
+    element p. The images of j..p increase strictly, so C must hold an
+    element >= e + (p - j): e <= max(C) - (p - j), for this opening and
+    every later one. So once an opening has failed, none past the least
+    such bound is tried. An opening cut off that way has no completion, so
+    the answer stays the same and the first witness found is still the
+    least.
+
     >>> find_occurrence(parse("124/35"), parse("1/23")).map
     (1, 3, 5)
     """
@@ -98,16 +109,16 @@ def _least_image(
     """
     if pattern.n < 1:
         raise ValueError("pattern must be nonempty")
-    k = pattern.n
-    if k > n:
+    k, r = pattern.n, len(pattern.blocks)
+    if k > n or r > len(host_blocks):  # distinct pattern blocks need distinct host blocks
         return None
-    binding = [-1] * len(pattern.blocks)
+    binding = [-1] * r
     used = [False] * len(host_blocks)
     image = [0] * k
     try:
         found = _extend(0, 1, n, k, pattern.rgs, pattern.blocks, host_blocks, host_block, binding, used, image)
     except RecursionError:  # _extend recurses once per pattern block
-        raise CeilingError(f"containment search recursion limit exceeded by {len(pattern.blocks)} pattern blocks") from None
+        raise CeilingError(f"containment search recursion limit exceeded by {r} pattern blocks") from None
     return image if found else None
 
 
@@ -119,7 +130,10 @@ def _extend(
     """Complete image[j:], the images of pattern elements j + 1..k, with
     image[j] >= lo. binding[b] is the host block of pattern block b (-1
     while unbound) and used[hb] marks a taken host block; a failed call
-    leaves both as it found them."""
+    leaves both as it found them. The bound on openings is worked out only
+    once the first one has failed, so a search whose first openings all
+    succeed does none of that work. Where the bound cuts, a second pass
+    over the openings goes on from the next element up to it."""
     while j < k:
         b = pat_block[j]
         hb = binding[b]
@@ -136,22 +150,41 @@ def _extend(
     else:
         return True
     size = len(pat_blocks[b])
-    for e in range(lo, n - (k - j) + 2):
-        hb = host_block[e]
-        if used[hb]:
-            continue
-        blk = host_blocks[hb]
-        i = bisect_left(blk, e)
-        if (i and blk[i - 1] >= lo) or len(blk) - i < size:
-            continue
-        binding[b] = hb
-        used[hb] = True
-        image[j] = e
-        if _extend(j + 1, e + 1, n, k, pat_block, pat_blocks, host_blocks, host_block, binding, used, image):
-            return True
-        used[hb] = False
-    binding[b] = -1
-    return False
+    start, stop = lo, n - (k - j) + 2
+    while True:
+        for e in range(start, stop):
+            hb = host_block[e]
+            if used[hb]:
+                continue
+            blk = host_blocks[hb]
+            i = bisect_left(blk, e)
+            if (i and blk[i - 1] >= lo) or len(blk) - i < size:
+                continue
+            binding[b] = hb
+            used[hb] = True
+            image[j] = e
+            if _extend(j + 1, e + 1, n, k, pat_block, pat_blocks, host_blocks, host_block, binding, used, image):
+                return True
+            used[hb] = False
+            if b and start == lo and e + 1 < stop:  # the first opening failed: bound the rest, once
+                start, end = e + 1, stop
+                # blocks 0..b-1 opened before j, so they are bound; one whose
+                # last element, at position last - 1, is still to come needs
+                # its host block to reach e + (last - 1 - j). The walker's
+                # bound top block ends at n and its last element is k, so its
+                # bound is the stop already there. With b == 0 nothing is
+                # bound, and with e + 1 == stop no opening is left to cut.
+                for c in range(b):
+                    last = pat_blocks[c][-1]
+                    if last > j + 1:
+                        room = host_blocks[binding[c]][-1] + j + 2 - last
+                        if room < stop:
+                            stop = room
+                if stop < end:  # go on from e + 1, below the bound
+                    break
+        else:
+            binding[b] = -1
+            return False
 
 
 def layered_witness(host: SetPartition, shape: LayeredShape) -> Occurrence:

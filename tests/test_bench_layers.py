@@ -42,6 +42,12 @@ def test_bench_layers_writes_its_report(tmp_path, capsys):
     assert set(split) == {"advance_ms", "settle_ms", "settle_share"}
     assert split["advance_ms"] > 0 and split["settle_ms"] > 0
     assert 0 < split["settle_share"] < 1
+    large = report["large"]
+    assert set(large) == {"14/25/36", "15/2/3/4"}
+    assert all(set(rows) == {"200", "400", "800"} for rows in large.values())
+    assert all(row["ms"] > 0 for rows in large.values() for row in rows.values())
+    # a noncrossing host never contains a crossing pattern
+    assert not any(row["contains"] for row in large["14/25/36"].values())
     out = capsys.readouterr().out
     assert "find_occurrence.us.p50" in out and "dp.k4_n9.scan_ms" in out
-    assert "dp.14/23_n20.settle_share" in out
+    assert "dp.14/23_n20.settle_share" in out and "large.15/2/3/4.n800.ms" in out

@@ -53,6 +53,26 @@ def seeded_large_hosts() -> list[SetPartition]:
     return hosts
 
 
+def noncrossing_host(seed: int, n: int) -> SetPartition:
+    """A seeded noncrossing partition of [n]. Element e joins an open block,
+    closing the blocks opened after it, or closes some of the latest open
+    blocks and opens its own; a closed block takes no later element, so no
+    two blocks cross."""
+    rng = random.Random(seed)
+    blocks: list[list[int]] = []
+    open_blocks: list[int] = []
+    for e in range(1, n + 1):
+        i = rng.randrange(len(open_blocks) + 1)
+        if i < len(open_blocks) and rng.random() < 0.5:
+            blocks[open_blocks[i]].append(e)
+            del open_blocks[i + 1:]
+        else:
+            del open_blocks[i:]
+            open_blocks.append(len(blocks))
+            blocks.append([e])
+    return SetPartition.from_blocks(blocks)
+
+
 def test_searches_leave_no_reference_cycles():
     # a recursive nested function left alive after the call holds itself
     # through its closure cell, and only the cyclic collector frees it
@@ -102,6 +122,36 @@ class TestContains:
             contains(parse("12"), parse(""))
         with pytest.raises(ValueError, match="pattern must be nonempty"):
             find_occurrence(parse("12"), parse(""))
+
+    def test_more_pattern_blocks_than_host_blocks_is_no_search(self, monkeypatch):
+        # distinct pattern blocks need distinct host blocks
+        monkeypatch.setattr(partpat.containment, "_extend", None)
+        assert not contains(parse("1234567"), parse("1/2"))
+        assert find_occurrence(parse("1357/2468"), parse("1/2/3")) is None
+
+    def test_bound_blocks_prune_openings_on_a_noncrossing_host(self, monkeypatch):
+        # once an opening has failed, no later one is tried past the room a
+        # bound pattern block's host block leaves; counted in calls, with a
+        # search that runs past 10 n stopped there. Without the bound these
+        # two searches make 99,843 and 14,868,757 calls.
+        n = 400
+        host = noncrossing_host(400, n)
+        assert not contains(host, parse("13/24"))
+        extend = partpat.containment._extend
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            if calls > 10 * n:
+                pytest.fail(f"more than {10 * n} containment search calls")
+            return extend(*args)
+
+        monkeypatch.setattr(partpat.containment, "_extend", counted)
+        assert not contains(host, parse("14/25/36"))
+        calls = 0
+        occ = find_occurrence(host, parse("15/2/3/4"))
+        assert standardize(occ.map, host) == parse("15/2/3/4")
 
     def test_agrees_with_find_occurrence_on_seeded_large_hosts(self):
         for host in seeded_large_hosts():
@@ -179,6 +229,15 @@ class TestFindOccurrence:
                 occ = find_occurrence(host, pattern)
                 assert (occ and occ.map) == expected, (str(host), str(pattern))
         assert misses > 500
+
+    def test_minimality_on_seeded_large_hosts_k6(self):
+        # patterns of [6] have more blocks with later elements, which give
+        # the openings' bound more to cut
+        for host in seeded_large_hosts():
+            least = least_witnesses(host, 6)
+            for pattern in patterns_of(6):
+                occ = find_occurrence(host, pattern)
+                assert (occ and occ.map) == least.get(rgs_key(pattern)), (str(host), str(pattern))
 
 
 class TestOccurrence:
