@@ -14,6 +14,9 @@ whole round does.
   levels.
 - ``find_occurrence.us.p50`` and ``.p99``: every host against every
   pattern of [3..5], over the queries' fastest times.
+- ``contains.us.p50`` and ``.p99``: the same queries through ``contains``,
+  the same search with no witness built, so the witness costs the
+  difference.
 - ``walk.ns_per_node``: nanoseconds per kept node of the pruned walk
   ``_walk_sequence``, one call per pattern of [3..5], up to n = --walk-n.
 - ``dacp_contains.us``: mean microseconds per graph containment check, every
@@ -228,6 +231,7 @@ def measure(repeat: int, walk_n: int) -> dict:
 
     parse_ns = fastest([partial(parse, t) for t in texts], repeat)
     query_ns = sorted(fastest([partial(find_occurrence, h, p) for h, p in pairs], repeat))
+    contains_ns = sorted(fastest([partial(contains, h, p) for h, p in pairs], repeat))
     walk_ns = fastest([partial(_walk_sequence, p, walk_n) for p in patterns], repeat)
     dacp_ns = fastest([partial(dacp_contains, g, p) for g, p in checks], repeat)
     trip_ns = fastest([partial(roundtrip, h) for h in host_values], repeat)
@@ -238,6 +242,8 @@ def measure(repeat: int, walk_n: int) -> dict:
             "parse.us": sum(parse_ns) / len(texts) / 1e3,
             "find_occurrence.us.p50": percentile(query_ns, 0.50) / 1e3,
             "find_occurrence.us.p99": percentile(query_ns, 0.99) / 1e3,
+            "contains.us.p50": percentile(contains_ns, 0.50) / 1e3,
+            "contains.us.p99": percentile(contains_ns, 0.99) / 1e3,
             "walk.ns_per_node": sum(walk_ns) / nodes,
             "dacp_contains.us": sum(dacp_ns) / len(checks) / 1e3,
             "dacp_roundtrip.us": sum(trip_ns) / len(host_values) / 1e3,

@@ -80,11 +80,18 @@ def find_occurrence(host: SetPartition, pattern: SetPartition) -> Occurrence | N
     the answer stays the same and the first witness found is still the
     least.
 
+    The witness is built from the search's map without re-running
+    ``Occurrence``'s checks.
+
     >>> find_occurrence(parse("124/35"), parse("1/23")).map
     (1, 3, 5)
     """
     image = _least_image(host.n, host.blocks, host.block_of, pattern)
-    return None if image is None else Occurrence(image)
+    if image is None:
+        return None
+    occ = object.__new__(Occurrence)  # _extend's map rises from lo = 1: increasing ints >= 1, as _positions requires
+    object.__setattr__(occ, "map", tuple(image))
+    return occ
 
 
 def contains(host: SetPartition, pattern: SetPartition) -> bool:

@@ -65,6 +65,10 @@ class _Value:
     the hash is that of the field tuple, the repr is
     ``Name(field=value, ...)``, assignment raises AttributeError, and
     pickling or copying rebuilds through the constructor, checks included.
+    A constructor is skipped (``object.__new__``, then the fields set
+    directly) only for a value built from a search's own checked output,
+    with the invariant that makes the checks redundant commented at the
+    site: ``to_dacp`` and ``find_occurrence``.
     """
 
     __slots__ = ()

@@ -18,6 +18,7 @@ def test_bench_layers_writes_its_report(tmp_path, capsys):
     report = json.loads(out.read_text(encoding="utf-8"))
     assert set(report["metrics"]) == {
         "parse.us", "find_occurrence.us.p50", "find_occurrence.us.p99",
+        "contains.us.p50", "contains.us.p99",
         "walk.ns_per_node", "dacp_contains.us", "dacp_roundtrip.us",
     }
     assert all(value > 0 for value in report["metrics"].values())
@@ -50,4 +51,5 @@ def test_bench_layers_writes_its_report(tmp_path, capsys):
     assert not any(row["contains"] for row in large["14/25/36"].values())
     out = capsys.readouterr().out
     assert "find_occurrence.us.p50" in out and "dp.k4_n9.scan_ms" in out
+    assert "contains.us.p50" in out and "contains.us.p99" in out
     assert "dp.14/23_n20.settle_share" in out and "large.15/2/3/4.n800.ms" in out

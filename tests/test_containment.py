@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import copy
 import gc
 import itertools
+import pickle
 import random
 
 import pytest
@@ -200,12 +202,19 @@ class TestFindOccurrence:
         assert find_occurrence(parse("13/24"), parse("12/34")) is None
 
     def test_witness_standardizes_to_pattern(self):
+        # and, built without the constructor, equals, hashes and round-trips
+        # as the value the checked constructor builds from its map
         patterns = [p for k in range(1, 5) for p in patterns_of(k)]
         for host in partitions_up_to(7):
             for pattern in patterns:
                 occ = find_occurrence(host, pattern)
                 if occ is not None:
                     assert standardize(occ.map, host) == pattern
+                    checked = Occurrence(occ.map)
+                    assert type(occ.map) is tuple
+                    assert occ == checked and hash(occ) == hash(checked), (str(host), str(pattern))
+                    assert pickle.loads(pickle.dumps(occ)) == occ
+                    assert copy.deepcopy(occ) == occ
 
     def test_minimality_against_all_witnesses(self):
         # every host n <= 7, every pattern k <= 4: the witness is the least
@@ -238,6 +247,14 @@ class TestFindOccurrence:
             for pattern in patterns_of(6):
                 occ = find_occurrence(host, pattern)
                 assert (occ and occ.map) == least.get(rgs_key(pattern)), (str(host), str(pattern))
+
+    def test_witness_skips_the_constructor_checks(self, monkeypatch):
+        def refuse(self, map):
+            raise AssertionError("Occurrence constructor called")
+
+        monkeypatch.setattr(Occurrence, "__init__", refuse)
+        assert find_occurrence(parse("124/35"), parse("1/23")).map == (1, 3, 5)
+        assert find_occurrence(parse("13/24"), parse("12/34")) is None
 
 
 class TestOccurrence:

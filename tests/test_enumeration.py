@@ -29,6 +29,7 @@ from partpat import (
     log_upper_bound_block,
     log_upper_bound_layered,
     parse,
+    permeability,
     sba,
     singleton_count,
     uniform_avoids,
@@ -108,6 +109,15 @@ class TestCountAvoiders:
 
 
 class TestCountSequence:
+    def test_monotone_under_containment(self):
+        # tau in sigma means every avoider of tau avoids sigma, so
+        # A_n(tau) <= A_n(sigma): the 167 pairs of [4] in [5], to n = 10
+        seq = {p: count_sequence(p, 10) for p in (*patterns_of(4), *patterns_of(5))}
+        pairs = [(tau, sigma) for tau in patterns_of(4) for sigma in patterns_of(5) if contains(sigma, tau)]
+        assert len(pairs) == 167
+        for tau, sigma in pairs:
+            assert all(map(int.__le__, seq[tau], seq[sigma])), (str(tau), str(sigma))
+
     def test_dp_equals_walk_for_patterns_up_to_5(self):
         # every n_max, because the DP prunes by the elements still to come
         for k in range(1, 6):
@@ -525,6 +535,18 @@ class TestLowerBoundRealized:
                         shape.parts,
                         n,
                     )
+        # every pattern of [2..5] with pm >= 2 avoids the uniform partitions
+        # with t = pm sections: A_n(tau) >= (n/pm)!^(pm - 1), n <= 10
+        rows = [
+            (tau, pm, n)
+            for k in range(2, 6)
+            for tau in patterns_of(k)
+            if (pm := permeability(tau)[0]) >= 2
+            for n in range(pm, 11, pm)
+        ]
+        assert len(rows) == 171
+        for tau, pm, n in rows:
+            assert cached_count(str(tau), n) >= uniform_count(n, pm), (str(tau), n)
 
 
 class TestCountCache:
