@@ -12,11 +12,17 @@ whole round does.
 - ``parse.us``: mean microseconds per ``parse`` of a host's text. The hosts
   have 12..40 elements, one for each size and each of two block-count
   levels.
+- ``rgs.us``: mean microseconds for the first read of ``rgs`` on a host
+  just parsed, which builds the index the containment search reads; each
+  round parses the hosts afresh, untimed.
 - ``find_occurrence.us.p50`` and ``.p99``: every host against every
   pattern of [3..5], over the queries' fastest times.
 - ``contains.us.p50`` and ``.p99``: the same queries through ``contains``,
-  the same search with no witness built, so the witness costs the
-  difference.
+  the same search with no witness built.
+- ``witness.us.p50``: what the witness costs, the median over the queries
+  of the difference between a query's ``find_occurrence`` and
+  ``contains`` times. Each round times the two on the same query back to
+  back, so both sides of a difference are timed at one machine speed.
 - ``walk.ns_per_node``: nanoseconds per kept node of the pruned walk
   ``_walk_sequence``, one call per pattern of [3..5], up to n = --walk-n.
 - ``dacp_contains.us``: mean microseconds per graph containment check, every
@@ -59,6 +65,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import platform
 import random
 import sys
@@ -131,6 +138,18 @@ def fastest(calls: list, repeat: int) -> list[int]:
         for i, call in enumerate(calls):
             start = clock()
             call()
+            best[i] = min(best[i], clock() - start)
+    return best
+
+
+def first_rgs(texts: list[str], repeat: int) -> list[int]:
+    """Each host's fastest first read of ``rgs``, in ns, over ``repeat``
+    rounds, each on hosts parsed afresh."""
+    best = [math.inf] * len(texts)
+    for _ in range(repeat):
+        for i, h in enumerate(list(map(parse, texts))):
+            start = clock()
+            h.rgs
             best[i] = min(best[i], clock() - start)
     return best
 
@@ -230,8 +249,13 @@ def measure(repeat: int, walk_n: int) -> dict:
     ]
 
     parse_ns = fastest([partial(parse, t) for t in texts], repeat)
-    query_ns = sorted(fastest([partial(find_occurrence, h, p) for h, p in pairs], repeat))
-    contains_ns = sorted(fastest([partial(contains, h, p) for h, p in pairs], repeat))
+    rgs_ns = first_rgs(texts, repeat)
+    # find_occurrence and contains on each query back to back, in every round
+    both_ns = fastest([partial(search, h, p) for h, p in pairs for search in (find_occurrence, contains)], repeat)
+    query_ns, contains_ns = both_ns[0::2], both_ns[1::2]
+    witness_ns = sorted(map(operator.sub, query_ns, contains_ns))
+    query_ns.sort()
+    contains_ns.sort()
     walk_ns = fastest([partial(_walk_sequence, p, walk_n) for p in patterns], repeat)
     dacp_ns = fastest([partial(dacp_contains, g, p) for g, p in checks], repeat)
     trip_ns = fastest([partial(roundtrip, h) for h in host_values], repeat)
@@ -240,10 +264,12 @@ def measure(repeat: int, walk_n: int) -> dict:
     return {
         "metrics": {
             "parse.us": sum(parse_ns) / len(texts) / 1e3,
+            "rgs.us": sum(rgs_ns) / len(texts) / 1e3,
             "find_occurrence.us.p50": percentile(query_ns, 0.50) / 1e3,
             "find_occurrence.us.p99": percentile(query_ns, 0.99) / 1e3,
             "contains.us.p50": percentile(contains_ns, 0.50) / 1e3,
             "contains.us.p99": percentile(contains_ns, 0.99) / 1e3,
+            "witness.us.p50": percentile(witness_ns, 0.50) / 1e3,
             "walk.ns_per_node": sum(walk_ns) / nodes,
             "dacp_contains.us": sum(dacp_ns) / len(checks) / 1e3,
             "dacp_roundtrip.us": sum(trip_ns) / len(host_values) / 1e3,

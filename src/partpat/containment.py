@@ -86,7 +86,7 @@ def find_occurrence(host: SetPartition, pattern: SetPartition) -> Occurrence | N
     >>> find_occurrence(parse("124/35"), parse("1/23")).map
     (1, 3, 5)
     """
-    image = _least_image(host.n, host.blocks, host.block_of, pattern)
+    image = _least_image(host.n, host.blocks, host.rgs, pattern)
     if image is None:
         return None
     occ = object.__new__(Occurrence)  # _extend's map rises from lo = 1: increasing ints >= 1, as _positions requires
@@ -97,22 +97,22 @@ def find_occurrence(host: SetPartition, pattern: SetPartition) -> Occurrence | N
 def contains(host: SetPartition, pattern: SetPartition) -> bool:
     """True iff some subset of host's elements standardizes to the pattern
     (``find_occurrence``'s search, which here builds no witness)."""
-    return _least_image(host.n, host.blocks, host.block_of, pattern) is not None
+    return _least_image(host.n, host.blocks, host.rgs, pattern) is not None
 
 
 def _least_image(
     n: int,
     host_blocks: Sequence[Sequence[int]],
-    host_block: Sequence[int] | dict[int, int],
+    host_block: Sequence[int],
     pattern: SetPartition,
 ) -> list[int] | None:
     """The least occurrence map of ``find_occurrence``, unchecked, or None.
 
     The host is given by its parts: its ground size n, its blocks, each
-    ascending, and host_block[e], the index of the block holding e. So a
-    ``SetPartition``'s ``blocks`` and ``block_of`` serve, and so do the
-    lists of the enumeration walker, which need no value built. The
-    search state is three fresh lists, handed to ``_extend``.
+    ascending, and host_block[e - 1], the index of the block holding e. So
+    a ``SetPartition``'s ``blocks`` and ``rgs`` serve, and so do the lists
+    of the enumeration walker, which need no value built. The search state
+    is three fresh lists, handed to ``_extend``.
     """
     if pattern.n < 1:
         raise ValueError("pattern must be nonempty")
@@ -131,11 +131,12 @@ def _least_image(
 
 def _extend(
     j: int, lo: int, n: int, k: int, pat_block: Sequence[int], pat_blocks: Sequence[Sequence[int]],
-    host_blocks: Sequence[Sequence[int]], host_block: Sequence[int] | dict[int, int],
+    host_blocks: Sequence[Sequence[int]], host_block: Sequence[int],
     binding: list[int], used: list[bool], image: list[int],
 ) -> bool:
     """Complete image[j:], the images of pattern elements j + 1..k, with
-    image[j] >= lo. binding[b] is the host block of pattern block b (-1
+    image[j] >= lo. host_block[e - 1] is the host block holding e, as in
+    ``_least_image``. binding[b] is the host block of pattern block b (-1
     while unbound) and used[hb] marks a taken host block; a failed call
     leaves both as it found them. The bound on openings is worked out only
     once the first one has failed, so a search whose first openings all
@@ -160,7 +161,7 @@ def _extend(
     start, stop = lo, n - (k - j) + 2
     while True:
         for e in range(start, stop):
-            hb = host_block[e]
+            hb = host_block[e - 1]
             if used[hb]:
                 continue
             blk = host_blocks[hb]

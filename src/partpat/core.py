@@ -3,8 +3,9 @@
 A set partition splits {1, ..., n} into disjoint nonempty blocks whose
 union is the whole ground set. Values are immutable; equality and hashing
 are structural on the canonical form (blocks ordered by their minimum,
-elements ascending inside each block). The element-to-block map ``block_of``
-and the restricted growth string ``rgs`` are built on first use, outside the value.
+elements ascending inside each block). The restricted growth string ``rgs``,
+which partpat's own code reads as its element-to-block index, and the dict
+``block_of`` are each built on first use, outside the value.
 
 Text notation joins blocks with "/". For n <= 9 the elements of a block
 are written as bare digits ("134/25"); for n >= 10 they are
@@ -14,7 +15,9 @@ comma-separated ("1,10,12/2,3"). ``parse`` accepts both forms.
 from __future__ import annotations
 
 import itertools
-from operator import index, lt
+import json
+import re
+from operator import eq, index, lt
 from typing import Any, Iterable
 
 __all__ = [
@@ -122,9 +125,10 @@ class SetPartition(_Value):
     the elements must be exactly 1..n, each of type int (a bool is not).
     ``n`` goes through ``operator.index``, so a non-integer raises
     TypeError. The empty partition (n = 0, no blocks) is a valid value.
-    ``block_of[e]`` and ``rgs[e - 1]`` give the index of the block holding
-    e; both are built on first use and take no part in equality, hashing,
-    repr or pickling.
+    ``rgs[e - 1]`` and ``block_of[e]`` give the index of the block holding
+    e. Each is built on first use, ``rgs`` straight from the blocks and
+    ``block_of`` only for a caller that asks for it, and neither takes part
+    in equality, hashing, repr or pickling.
 
     >>> parse("134/25").rgs
     (0, 1, 0, 0, 1)
@@ -135,7 +139,7 @@ class SetPartition(_Value):
     n: int
     blocks: tuple[tuple[int, ...], ...]
     block_of: dict[int, int]  # element -> index of its block, built on first use
-    rgs: tuple[int, ...]  # rgs[e - 1] = block_of[e], built on first use
+    rgs: tuple[int, ...]  # rgs[e - 1] = index of e's block, built on first use
 
     def __init__(self, n: int, blocks: Iterable[Iterable[int]]) -> None:
         n = index(n)
@@ -143,12 +147,10 @@ class SetPartition(_Value):
             raise ValueError("ground size must be nonnegative")
         canon = list(map(tuple, map(sorted, blocks)))
         flat = list(itertools.chain.from_iterable(canon))
-        if not (
-            len(flat) == n
-            and all(canon)
-            and {*map(type, flat)} <= {int}
-            and sorted(flat) == list(range(1, len(flat) + 1))
-        ):
+        if not (len(flat) == n and all(canon) and {*map(type, flat)} <= {int}):
+            raise _partition_fault(n, canon)
+        flat.sort()
+        if flat != list(range(1, n + 1)):
             raise _partition_fault(n, canon)
         # the blocks are disjoint, so tuple order is order by least element
         canon.sort()
@@ -165,10 +167,15 @@ class SetPartition(_Value):
         # Called only when normal lookup fails, as it does for block_of and
         # rgs until their slots are set: each is built on first use and read
         # as a plain slot from then on.
-        if name == "block_of":
-            value: Any = {e: i for i, b in enumerate(self.blocks) for e in b}
-        elif name == "rgs":
-            value = tuple(map(self.block_of.__getitem__, range(1, self.n + 1)))
+        if name == "rgs":
+            rgs = [0] * (self.n + 1)  # indexed by element; slot 0 is dropped
+            for i, b in enumerate(self.blocks):
+                for e in b:
+                    rgs[e] = i
+            del rgs[0]
+            value: Any = tuple(rgs)
+        elif name == "block_of":
+            value = {e: i for i, b in enumerate(self.blocks) for e in b}
         else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         object.__setattr__(self, name, value)
@@ -197,17 +204,26 @@ def _partition_fault(n: int, canon: list[tuple[int, ...]]) -> ValueError:
 
 
 _PARSE_CHARS = frozenset("0123456789,/")
+_decode = json.JSONDecoder().decode
+# a run of zeros that begins an element and is not the whole element
+_LEADING_ZEROS = re.compile(r"(?<![0-9])0+(?=[0-9])")
 
 
 def parse(text: str) -> SetPartition:
     """Parse slash notation into a canonical partition.
 
     A text containing a comma or the digit 0 is read in comma form, where
-    each block is a comma-separated list of decimal elements; otherwise
-    every character of a block is a single-digit element. Any partition
-    with n >= 10 contains the element 10, whose rendering includes a "0",
-    so the dispatch never misreads a formatted partition. The empty string
-    denotes the empty partition.
+    each block is a comma-separated list of decimal elements, leading zeros
+    allowed; otherwise every character of a block is a single-digit
+    element. Any partition with n >= 10 contains the element 10, whose
+    rendering includes a "0", so the dispatch never misreads a formatted
+    partition. The empty string denotes the empty partition.
+
+    A text of the allowed characters is rewritten as one JSON array of
+    blocks, digit form with a comma between characters, and decoded in one
+    call; the character check keeps out any other JSON. A text that fails
+    to decode or to partition [n] is scanned by ``_parse_fault`` for the
+    message and position of its error.
 
     >>> parse("134/25").blocks
     ((1, 3, 4), (2, 5))
@@ -219,13 +235,17 @@ def parse(text: str) -> SetPartition:
     if text == "":
         return SetPartition(0, ())
     if _PARSE_CHARS.issuperset(text):
+        if "," not in text and "0" not in text:
+            comma_text = ",".join(text).replace(",/,", "/")
+        elif text[0] == "0" or ",0" in text or "/0" in text:
+            comma_text = _LEADING_ZEROS.sub("", text)  # JSON reads no leading zero
+        else:
+            comma_text = text
         try:
-            if "," in text or "0" in text:
-                blocks = [list(map(int, token.split(","))) for token in text.split("/")]
-            else:
-                blocks = [list(map(int, token)) for token in text.split("/")]
-            # the constructor rejects an empty block and a duplicate, missing or zero element
-            return SetPartition(sum(map(len, blocks)), blocks)
+            blocks = _decode("[[" + comma_text.replace("/", "],[") + "]]")
+            # every element is followed by a separator but the last; the
+            # constructor rejects an empty block and a duplicate, missing or zero element
+            return SetPartition(comma_text.count(",") + comma_text.count("/") + 1, blocks)
         except ValueError:
             pass
     raise _parse_fault(text) or AssertionError(f"parse rejected {text!r} without a fault")
@@ -292,9 +312,10 @@ def standardize(elements: Iterable[int], host: SetPartition) -> SetPartition:
         raise ValueError("cannot standardize an empty element set")
     if chosen[0] < 1 or chosen[-1] > host.n:
         raise ValueError(f"elements must lie in 1..{host.n}")
+    rgs = host.rgs
     grouped: dict[int, list[int]] = {}
     for rank, e in enumerate(chosen, start=1):
-        grouped.setdefault(host.block_of[e], []).append(rank)
+        grouped.setdefault(rgs[e - 1], []).append(rank)
     return SetPartition(len(chosen), grouped.values())
 
 
@@ -372,8 +393,8 @@ def is_permutation_partition(p: SetPartition) -> tuple[int, ...] | None:
 
 def sba(p: SetPartition) -> int:
     """Number of positions i in 1..n-1 with i and i+1 in the same block."""
-    bo = p.block_of
-    return sum(1 for i in range(1, p.n) if bo[i] == bo[i + 1])
+    rgs = p.rgs
+    return sum(map(eq, rgs, rgs[1:]))
 
 
 class IntervalCut(_Value):
@@ -408,11 +429,9 @@ def permeability(p: SetPartition) -> tuple[int, IntervalCut]:
     >>> permeability(parse("13/24"))
     (1, IntervalCut(cuts=(2,)))
     """
-    bo = p.block_of
     cuts: list[int] = []
     seen: set[int] = set()
-    for e in range(1, p.n + 1):
-        b = bo[e]
+    for e, b in enumerate(p.rgs, start=1):
         if b in seen:
             cuts.append(e - 1)
             seen = {b}
@@ -423,13 +442,12 @@ def permeability(p: SetPartition) -> tuple[int, IntervalCut]:
 
 def permeability_oracle(p: SetPartition) -> int:
     """Exhaustive minimum over all cut sets, for cross-checking the greedy routine."""
-    bo = p.block_of
+    rgs = p.rgs
 
     def feasible(cuts: tuple[int, ...]) -> bool:
         boundaries = set(cuts)
         seen: set[int] = set()
-        for e in range(1, p.n + 1):
-            b = bo[e]
+        for e, b in enumerate(rgs, start=1):
             if b in seen:
                 return False
             seen.add(b)

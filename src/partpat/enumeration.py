@@ -108,8 +108,10 @@ def _prefixes(n: int, tau: SetPartition | None) -> Iterator[tuple[int, list[list
     lexicographic order, as (m, blocks, block_of), the root m = 0 included.
 
     ``blocks`` holds the node's partition of [m] with its blocks in order of
-    least element, and block_of[e] is the index of the block holding e for
-    1 <= e <= m. Both are the walker's own lists, changed in place as it
+    least element, and block_of[e - 1] is the index of the block holding e
+    for 1 <= e <= m, 0-based as a ``SetPartition``'s ``rgs``, so
+    ``containment._extend`` reads it unchanged; entries past m - 1 are
+    stale. Both are the walker's own lists, changed in place as it
     moves on, so a caller copies what it keeps. A node is pruned, with
     everything below it, when its partition contains the pattern tau
     through an occurrence whose largest image is its newest element m; a
@@ -118,7 +120,7 @@ def _prefixes(n: int, tau: SetPartition | None) -> Iterator[tuple[int, list[list
     k's pattern block to the block that m joined and runs
     ``containment._extend`` on the walker's lists.
 
-    >>> [tuple(block_of[1:]) for m, _, block_of in _prefixes(3, None) if m == 3]
+    >>> [tuple(block_of) for m, _, block_of in _prefixes(3, None) if m == 3]
     [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2)]
     """
     if tau is not None:
@@ -127,7 +129,7 @@ def _prefixes(n: int, tau: SetPartition | None) -> Iterator[tuple[int, list[list
         top_size = len(pat_blocks[top_block])
         image = [0] * k  # _extend's witness, which the walk never reads
     blocks: list[list[int]] = []
-    block_of = [0] * (n + 1)
+    block_of = [0] * n
     m = bi = 0  # the node is the partition of [m]; element m + 1 tries block bi next
     yield m, blocks, block_of
     while True:
@@ -137,7 +139,7 @@ def _prefixes(n: int, tau: SetPartition | None) -> Iterator[tuple[int, list[list
                 blocks.append([])
             blk = blocks[bi]
             blk.append(m)
-            block_of[m] = bi
+            block_of[m - 1] = bi
             pruned = False
             if tau is not None and len(blk) >= top_size:
                 binding = [-1] * len(pat_blocks)
@@ -152,7 +154,7 @@ def _prefixes(n: int, tau: SetPartition | None) -> Iterator[tuple[int, list[list
         elif not m:
             return
         # take element m back out and move it on to the next block
-        bi = block_of[m]
+        bi = block_of[m - 1]
         blk = blocks[bi]
         blk.pop()
         if not blk:

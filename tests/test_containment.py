@@ -256,6 +256,19 @@ class TestFindOccurrence:
         assert find_occurrence(parse("124/35"), parse("1/23")).map == (1, 3, 5)
         assert find_occurrence(parse("13/24"), parse("12/34")) is None
 
+    def test_search_reads_rgs_not_block_of(self):
+        # the matcher's index is rgs, built from the blocks; block_of stays
+        # unbuilt. A slot's descriptor reads it without building it.
+        rgs_slot, block_of_slot = SetPartition.__dict__["rgs"], SetPartition.__dict__["block_of"]
+        for host_text, pattern_text in (("124/35", "1/23"), ("13/24", "12/34")):
+            for search in (find_occurrence, contains):
+                host, pattern = parse(host_text), parse(pattern_text)
+                search(host, pattern)
+                assert len(rgs_slot.__get__(host)) == host.n
+                for value in (host, pattern):
+                    with pytest.raises(AttributeError):
+                        block_of_slot.__get__(value)
+
 
 class TestOccurrence:
     def test_rejects_non_increasing(self):

@@ -3,7 +3,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from partpat import (
     IntervalCut,
@@ -145,12 +145,29 @@ def shuffled_partition_text(draw) -> str:
     return text
 
 
+def reference_parse(text: str) -> SetPartition:
+    """``parse`` by a tokenizer: ``int`` of each piece, comma form when the
+    text has a comma or a 0; ValueError for a text that is not a partition."""
+    if text == "":
+        return SetPartition(0, ())
+    if "," in text or "0" in text:
+        blocks = [list(map(int, token.split(","))) for token in text.split("/")]
+    else:
+        blocks = [list(map(int, token)) for token in text.split("/")]
+    return SetPartition(sum(map(len, blocks)), blocks)
+
+
 class TestParseFault:
-    """``parse`` converts a text with ``int`` and lets the constructor check
-    it; ``_parse_fault`` scans it character by character. They must agree."""
+    """``parse`` decodes a text as JSON and lets the constructor check it;
+    ``_parse_fault`` scans it character by character. They must agree."""
 
     @settings(max_examples=400, deadline=None)
     @given(st.one_of(st.text("0123456789,/a²", max_size=12), shuffled_partition_text()))
+    @example("01,2/3")  # int() reads a leading zero, which JSON does not
+    @example("1,02/3")
+    @example("00")
+    @example("007")
+    @example("0/1")
     def test_parse_succeeds_iff_no_fault(self, text):
         fault = _parse_fault(text)
         if fault is None:
@@ -159,6 +176,27 @@ class TestParseFault:
             with pytest.raises(ParseError) as err:
                 parse(text)
             assert str(err.value) == str(fault) and err.value.position == fault.position
+
+    def test_language_to_length_6(self):
+        # every text of up to 6 characters over 0 1 2 , /: parse accepts
+        # exactly the texts the scan and the tokenizer accept, reads them as
+        # the tokenizer does, and reports the scan's fault for the rest
+        for length in range(7):
+            for text in map("".join, itertools.product("012,/", repeat=length)):
+                fault = _parse_fault(text)
+                if fault is None:
+                    assert parse(text) == reference_parse(text), text
+                    continue
+                with pytest.raises(ValueError):
+                    reference_parse(text)
+                with pytest.raises(ParseError) as err:
+                    parse(text)
+                assert (str(err.value), err.value.position) == (str(fault), fault.position), text
+
+    def test_comma_form_in_reverse_order(self):
+        for p in partitions_up_to(7):
+            text = "/".join(",".join(map(str, reversed(b))) for b in reversed(p.blocks))
+            assert parse(text) == p, text
 
 
 class TestFormat:
@@ -206,6 +244,10 @@ class TestCanonicalForm:
     def test_rgs_is_the_restricted_growth_string(self):
         for p in partitions_up_to(7):
             assert p.rgs == rgs_key(p), str(p)
+
+    def test_rgs_agrees_with_block_of(self):
+        for p in partitions_up_to(8):
+            assert p.rgs == tuple(p.block_of[e] for e in range(1, p.n + 1)), str(p)
 
 
 class TestStandardize:
